@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
+import numpy as np
+
 from . import game
 from . import strategy
 from .game import Action, ActionHistory, Card, Seat
@@ -59,6 +61,9 @@ class ProfileAgent(Agent):
         self.name = name
         # Float lookup table keeps the per-decision cost flat.
         self._prob = {key: float(p) for key, p in profile.aggressive.items()}
+        #: The same floats in all_infoset_keys() order, for batch play.
+        self.probabilities = np.array([self._prob[key] for key in game.all_infoset_keys()])
+        self.probabilities.flags.writeable = False
 
     def act(self, obs: Observation, rng) -> Action:
         key = game.infoset_key(obs.seat, obs.private_card, obs.history)
@@ -230,9 +235,13 @@ def make_agent(spec: AgentSpec) -> Agent:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"CFRTrained profile {path!r} is unreadable: {exc}") from exc
-        return ProfileAgent(strategy.parse_profile(text), "CFRTrained")
+        try:
+            profile = strategy.parse_profile(text)
+        except strategy.ProfileFormatError as exc:
+            raise ValueError(f"CFRTrained profile {path!r} is malformed: {exc}") from exc
+        return ProfileAgent(profile, "CFRTrained")
     if kind == "UniformRandom":
         return ProfileAgent(strategy.constant_profile(Fraction(1, 2)), kind)
     if kind == "AlwaysAggressive":

@@ -22,8 +22,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import equilibrium, harness, strategy
-from .agents import AgentSpec, validate_spec
+from . import agents, equilibrium, harness, strategy
+from .agents import Agent, AgentSpec, validate_spec
 from .strategy import ProfileFormatError
 
 
@@ -176,10 +176,23 @@ def load_config(path: str, min_agents: int = 3,
     return pool, labels, config
 
 
+def build_agents(pool: Sequence[AgentSpec]) -> list[Agent]:
+    """Build each pool agent once; a CFRTrained profile file that cannot be
+    read or parsed is a configuration error naming its agents[] entry."""
+    built = []
+    for i, spec in enumerate(pool):
+        try:
+            built.append(agents.make_agent(spec))
+        except ValueError as exc:
+            raise ConfigError(f"agents[{i}]: {exc}") from exc
+    return built
+
+
 def cmd_tournament(args: argparse.Namespace) -> int:
     pool, labels, config = load_config(args.config)
+    built = build_agents(pool)
     os.makedirs(args.out, exist_ok=True)
-    report = harness.run_tournament(pool, config, labels=labels)
+    report = harness.run_tournament(pool, config, labels=labels, agents=built)
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
@@ -207,7 +220,7 @@ def cmd_variance_study(args: argparse.Namespace) -> int:
         print(f"--replications must be >= 30, got {args.replications}", file=sys.stderr)
         return 2
     triple, labels, config = load_config(args.config, min_agents=3, max_agents=3)
-    study = harness.variance_study(triple, config, args.replications)
+    study = harness.variance_study(triple, config, args.replications, agents=build_agents(triple))
     record = {
         "agents": labels,
         "studied_agent": labels[0],

@@ -16,13 +16,16 @@ among the non-folded seats wins the showdown.
 
 Histories and deals are plain strings ("KKBFC", "QKA") so they serialize
 as themselves. All functions are pure and precomputed tables back the
-hot paths.
+hot paths. The same tree is also compiled to integer node ids and numpy
+tables (end of module) for code that plays many hands at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import NamedTuple
+
+import numpy as np
 
 # Domain aliases: cards, seats, actions, and histories are primitives.
 Card = str
@@ -227,3 +230,42 @@ PAYOFF_TABLE = {
     deal: {h: terminal_payoffs(deal, h) for h in TERMINAL_HISTORIES}
     for deal in DEALS
 }
+
+
+# --- Compiled tree ----------------------------------------------------------
+# The same 25 histories as integer node ids: the 12 decision histories in
+# DECISION_HISTORIES order (every parent before its children), then the 13
+# terminals in TERMINAL_HISTORIES order.  Rows of the DECISION_* tables
+# are indexed by decision node id.
+
+NODES = DECISION_HISTORIES + TERMINAL_HISTORIES
+NODE_ID = {h: i for i, h in enumerate(NODES)}
+DEAL_INDEX = {deal: i for i, deal in enumerate(DEALS)}
+_KEY_INDEX = {key: i for i, key in enumerate(all_infoset_keys())}
+
+
+def _decision_slot(history: str) -> int:
+    """How many decisions the acting seat has already made in the hand:
+    0 for its first, 1 for its second."""
+    seat = _DECISION_POINTS[history][0]
+    return sum(_DECISION_POINTS[history[:j]][0] == seat for j in range(len(history)))
+
+
+#: Acting seat (1-3) and that seat's decision slot (0 or 1).
+DECISION_SEAT = np.array([_DECISION_POINTS[h][0] for h in DECISION_HISTORIES], dtype=np.intp)
+DECISION_SLOT = np.array([_decision_slot(h) for h in DECISION_HISTORIES], dtype=np.intp)
+#: Node ids reached by the passive (K or F) and aggressive (B or C) action.
+PASSIVE_CHILD = np.array([NODE_ID[h + action_pair(h)[0]] for h in DECISION_HISTORIES], dtype=np.intp)
+AGGRESSIVE_CHILD = np.array([NODE_ID[h + action_pair(h)[1]] for h in DECISION_HISTORIES],
+                            dtype=np.intp)
+#: (deal, decision node) -> index in all_infoset_keys() of the acting
+#: seat's information set.
+INFOSET_INDEX = np.array([
+    [_KEY_INDEX[infoset_key(seat, deal[seat - 1], h)]
+     for h, seat in zip(DECISION_HISTORIES, DECISION_SEAT.tolist())]
+    for deal in DEALS
+], dtype=np.intp)
+#: (deal, node, seat - 1) -> net chips; zero at decision nodes.
+PAYOFFS = np.array([
+    [PAYOFF_TABLE[deal].get(h, (0, 0, 0)) for h in NODES] for deal in DEALS
+], dtype=np.int64)

@@ -17,6 +17,7 @@ and adding groupings to a tournament never perturbs existing ones.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -28,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import game
-from .agents import Agent, AgentSpec, Observation, make_agent, validate_spec
+from .agents import Agent, AgentSpec, Observation, ProfileAgent, make_agent, validate_spec
 
 # Seat permutations in a fixed order: permutation p assigns triple slot
 # PERMUTATIONS[p][s-1] to seat s.
@@ -73,6 +74,10 @@ class HandRecord(NamedTuple):
     deal: str
     history: str
     payoffs: tuple[int, int, int]
+
+
+# HandRecord._make without its per-call length check, for building many at once.
+_new_hand = functools.partial(tuple.__new__, HandRecord)
 
 
 @dataclass
@@ -130,6 +135,11 @@ def run_match(specs: Sequence[AgentSpec], cards: Sequence[str],
     randomness a pure function of the seed and its position.  Pass agents
     to reuse already-constructed instances; otherwise each spec is built
     fresh, giving stateful agents a clean slate.
+
+    A lineup of three plain ProfileAgents plays every hand at once on the
+    compiled tree (`_play_profiles`); any other lineup, subclasses
+    included, takes the per-decision loop below.  Both give identical
+    records for the same inputs.
     """
     if len(specs) != 3:
         raise ValueError(f"a match needs exactly 3 agents, got {len(specs)}")
@@ -139,6 +149,8 @@ def run_match(specs: Sequence[AgentSpec], cards: Sequence[str],
     gen = np.random.Generator(np.random.Philox(seq))
     # Seats 1 and 2 act at most twice per hand, seat 3 at most once.
     uniforms = gen.random((len(cards), 3, 2))
+    if all(type(agent) is ProfileAgent for agent in agents):
+        return _play_profiles(agents, cards, uniforms)
 
     observers = [a for a in agents if type(a).observe_result is not Agent.observe_result]
     acting = game.acting_seat
@@ -178,25 +190,71 @@ def run_match(specs: Sequence[AgentSpec], cards: Sequence[str],
     return MatchRecord(names, (totals[0], totals[1], totals[2]), hands)
 
 
+def _play_profiles(agents: Sequence[ProfileAgent], cards: Sequence[str],
+                   uniforms: np.ndarray) -> MatchRecord:
+    """The match loop for three stateless ProfileAgents, over every hand at
+    once: each decision node in parent-before-child order moves the hands
+    standing on it to a child, making the same `uniform < probability`
+    comparison as ProfileAgent.act with the same pre-drawn uniform."""
+    deals = np.array([game.DEAL_INDEX[deal] for deal in cards], dtype=np.intp)
+    probabilities = np.stack([agent.probabilities for agent in agents])
+    node = np.zeros(len(cards), dtype=np.intp)  # every hand starts at the root
+    for n in range(len(game.DECISION_HISTORIES)):
+        here = np.flatnonzero(node == n)
+        i = game.DECISION_SEAT[n] - 1
+        aggressive = (uniforms[here, i, game.DECISION_SLOT[n]]
+                      < probabilities[i, game.INFOSET_INDEX[deals[here], n]])
+        node[here] = np.where(aggressive, game.AGGRESSIVE_CHILD[n], game.PASSIVE_CHILD[n])
+    histories = [game.NODES[n] for n in node.tolist()]
+    # Hands share the payoff tuples of PAYOFF_TABLE, as the scalar loop's do.
+    payoffs = [game.PAYOFF_TABLE[deal][h] for deal, h in zip(cards, histories)]
+    hands = list(map(_new_hand, zip(range(len(cards)), cards, histories, payoffs)))
+    totals = tuple(int(total) for total in game.PAYOFFS[deals, node].sum(axis=0))
+    return MatchRecord(tuple(agent.name for agent in agents), totals, hands)
+
+
+def _built(specs: Sequence[AgentSpec], agents: Optional[Sequence[Agent]]) -> list[Agent]:
+    """One agent per spec: the given ones, or each spec built once."""
+    if agents is None:
+        return [make_agent(spec) for spec in specs]
+    if len(agents) != len(specs):
+        raise ValueError(f"got {len(agents)} agents for {len(specs)} specs")
+    return list(agents)
+
+
+def _seat(triple: Sequence[AgentSpec], built: Sequence[Agent],
+          perm: tuple[int, ...]) -> tuple[list[AgentSpec], list[Agent]]:
+    """Specs and agents by seat for one seating permutation of a triple.
+    Stateless ProfileAgents are shared read-only; any other agent is built
+    afresh from its spec, so that it starts every match with a clean slate."""
+    specs = [triple[slot] for slot in perm]
+    agents = [built[slot] if type(built[slot]) is ProfileAgent else make_agent(triple[slot])
+              for slot in perm]
+    return specs, agents
+
+
 def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
-                      set_key: Sequence[int]) -> DuplicateSet:
+                      set_key: Sequence[int],
+                      agents: Optional[Sequence[Agent]] = None) -> DuplicateSet:
     """One duplicate set: a fresh card sequence replayed over all 6 seatings.
 
     set_key identifies the set within the tournament (grouping indices plus
     set index); it keys both the card stream and the per-permutation
-    decision streams.
+    decision streams.  agents, if given, are built from triple by
+    make_agent; stateful ones are still rebuilt for every match.
     """
     if len(triple) != 3:
         raise ValueError(f"a duplicate set needs exactly 3 agents, got {len(triple)}")
+    built = _built(triple, agents)
     key = tuple(int(k) for k in set_key)
     cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
     matches = []
     slot_totals = [0, 0, 0]
     for p, perm in enumerate(PERMUTATIONS):
-        seated = [triple[perm[s]] for s in range(3)]
+        specs, seated = _seat(triple, built, perm)
         seed = np.random.SeedSequence(
             config.master_seed, spawn_key=(_DOMAIN_DECISIONS,) + key + (p,))
-        record = run_match(seated, cards, seed)
+        record = run_match(specs, cards, seed, agents=seated)
         for s in range(3):
             slot_totals[perm[s]] += record.seat_totals[s]
         matches.append(record)
@@ -262,13 +320,16 @@ def default_labels(specs: Sequence[AgentSpec]) -> list[str]:
 
 def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
                    labels: Optional[Sequence[str]] = None,
-                   keep_hands: bool = True) -> TournamentReport:
+                   keep_hands: bool = True,
+                   agents: Optional[Sequence[Agent]] = None) -> TournamentReport:
     """Run every 3-subset of the pool through the duplicate-match protocol.
 
     Each grouping plays matches_per_permutation duplicate sets (6 matches
     each).  Set seeds derive from (grouping indices, set index) so the pool
     may grow without disturbing existing groupings.  keep_hands=False drops
     per-hand logs after aggregation to bound memory on large tournaments.
+    Each pool agent is built once, unless agents already holds them (built
+    from pool by make_agent); stateful ones are rebuilt for every match.
     """
     if len(pool) < 3:
         raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
@@ -279,6 +340,7 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         raise ValueError(f"got {len(labels)} labels for a pool of {len(pool)}")
     if len(set(labels)) != len(labels):
         raise ValueError("agent labels must be unique")
+    built = _built(pool, agents)
 
     grouping_results: list[GroupingResult] = []
     # Per-agent accumulators across all groupings.
@@ -294,7 +356,8 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         slot_totals = [0, 0, 0]
         sets = []
         for set_idx in range(config.matches_per_permutation):
-            dup = run_duplicate_set(triple, config, indices + (set_idx,))
+            dup = run_duplicate_set(triple, config, indices + (set_idx,),
+                                    agents=[built[i] for i in indices])
             set_totals.append(dup.slot_totals)
             for slot in range(3):
                 slot_totals[slot] += dup.slot_totals[slot]
@@ -387,6 +450,9 @@ def report_json(report: TournamentReport) -> str:
 
 # --- Match logs -----------------------------------------------------------
 
+LOG_COLUMNS = ("hand", "card1", "card2", "card3", "actions", "chips1", "chips2", "chips3")
+
+
 def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     """Serialize a match to text: comment header, then one CSV row per hand
     (index, per-seat cards, action string, per-seat net chips)."""
@@ -395,7 +461,7 @@ def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
         out.write(f"# {line}\n")
     out.write(f"# seats: {','.join(record.agent_names)}\n")
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["hand", "card1", "card2", "card3", "actions", "chips1", "chips2", "chips3"])
+    writer.writerow(LOG_COLUMNS)
     for hand in record.hands:
         writer.writerow([hand.index, *hand.deal, hand.history, *hand.payoffs])
     return out.getvalue()
@@ -407,23 +473,41 @@ class ReplayError(ValueError):
 
 def replay_match_log(text: str) -> tuple[int, int, int]:
     """Re-derive every hand's payoffs from its cards and action string and
-    check them against the logged chips; returns the per-seat totals."""
-    totals = [0, 0, 0]
-    rows = [line for line in text.splitlines() if line and not line.startswith("#")]
+    check them against the logged chips; returns the per-seat totals.
+
+    Raises ReplayError naming the hand and the field for a log that lacks
+    the '# seats:' line naming three agents, a row without exactly one
+    value per column, a chip count that is not an integer, or chips that
+    disagree with the rules."""
+    lines = text.splitlines()
+    seats = [line[len("# seats:"):].strip().split(",")
+             for line in lines if line.startswith("# seats:")]
+    if len(seats) != 1 or len(seats[0]) != 3 or not all(seats[0]):
+        raise ReplayError("log has no '# seats:' line naming three agents")
+    rows = [line for line in lines if line and not line.startswith("#")]
     if not rows:
         raise ReplayError("log contains no hands")
     reader = csv.reader(io.StringIO("\n".join(rows)))
     header = next(reader)
-    if header[:5] != ["hand", "card1", "card2", "card3", "actions"]:
+    if tuple(header) != LOG_COLUMNS:
         raise ReplayError(f"unrecognized log header: {header!r}")
+    totals = [0, 0, 0]
     for row in reader:
-        index, c1, c2, c3, actions, chips = row[0], row[1], row[2], row[3], row[4], row[5:8]
-        deal = c1 + c2 + c3
+        index = row[0]
+        if len(row) != len(LOG_COLUMNS):
+            raise ReplayError(f"hand {index}: expected {len(LOG_COLUMNS)} fields, got {len(row)}")
+        deal = row[1] + row[2] + row[3]
+        actions = row[4]
         try:
             derived = game.terminal_payoffs(deal, actions)
         except Exception as exc:
             raise ReplayError(f"hand {index}: {exc}") from exc
-        logged = tuple(int(c) for c in chips)
+        try:
+            logged = tuple(map(int, row[5:]))
+        except ValueError:
+            column, chips = next((column, chips) for column, chips in zip(LOG_COLUMNS[5:], row[5:])
+                                 if not chips.removeprefix("-").isdecimal())
+            raise ReplayError(f"hand {index}: {column} is not an integer: {chips!r}") from None
         if logged != derived:
             raise ReplayError(
                 f"hand {index}: logged chips {logged} disagree with derived {derived}")
@@ -449,7 +533,8 @@ class VarianceStudy:
 
 
 def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
-                   replications: int) -> VarianceStudy:
+                   replications: int,
+                   agents: Optional[Sequence[Agent]] = None) -> VarianceStudy:
     """Estimate Var(per-hand payoff of triple[0]) under the duplicate
     protocol and under independent-card matches of equal total hand count.
 
@@ -458,15 +543,17 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     6 seatings but a fresh card sequence per match.  Both arms consume
     6 * hands_per_match hands per replication, and the studied statistic is
     the slot-0 agent's aggregate chips per hand.  The ratio is 1.0 when
-    both variances vanish.
+    both variances vanish.  agents, if given, are built from triple by
+    make_agent.
     """
     if replications < 30:
         raise ValueError(f"replications must be >= 30, got {replications}")
+    built = _built(triple, agents)
     hands_per_rep = 6 * config.hands_per_match
     duplicate_samples = []
     independent_samples = []
     for r in range(replications):
-        dup = run_duplicate_set(triple, config, (_DOMAIN_STUDY_CARDS, r))
+        dup = run_duplicate_set(triple, config, (_DOMAIN_STUDY_CARDS, r), agents=built)
         duplicate_samples.append(dup.slot_totals[0] / hands_per_rep)
 
         total = 0
@@ -475,7 +562,8 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
                                   config.hands_per_match)
             seed = np.random.SeedSequence(
                 config.master_seed, spawn_key=(_DOMAIN_STUDY_INDEP_DECISIONS, r, p))
-            record = run_match([triple[perm[s]] for s in range(3)], cards, seed)
+            specs, seated = _seat(triple, built, perm)
+            record = run_match(specs, cards, seed, agents=seated)
             total += record.seat_totals[perm.index(0)]
         independent_samples.append(total / hands_per_rep)
 

@@ -249,3 +249,72 @@ def test_unknown_subcommand_and_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--variant", "XX", "--out", "x"])
     assert exc.value.code == 2
+
+
+def cfr_trained_argv(tmp_path, command, profile_path):
+    """argv for tournament or variance-study on a pool with a CFRTrained
+    agent at agents[2] reading profile_path."""
+    config = write_config(tmp_path, agents=[
+        {"kind": "NashLB"}, {"kind": "UniformRandom"},
+        {"kind": "CFRTrained", "parameters": {"profile": str(profile_path)}}])
+    extra = (["--out", str(tmp_path / "t")] if command == "tournament"
+             else ["--replications", "30"])
+    return [command, "--config", config, *extra]
+
+
+@pytest.mark.parametrize("command", ["tournament", "variance-study"])
+def test_missing_cfr_profile_is_a_config_error(tmp_path, capsys, command):
+    argv = cfr_trained_argv(tmp_path, command, tmp_path / "nope.profile")
+    code, _, stderr = run(capsys, argv)
+    assert code == 2
+    assert stderr.startswith("configuration error: agents[2]: CFRTrained profile")
+    assert "unreadable" in stderr
+    assert len(stderr.splitlines()) == 1
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command", ["tournament", "variance-study"])
+def test_malformed_cfr_profile_is_a_config_error(tmp_path, capsys, command):
+    profile = tmp_path / "bad.profile"
+    profile.write_text("1 J 1 not-a-number\n", encoding="utf-8")
+    code, _, stderr = run(capsys, cfr_trained_argv(tmp_path, command, profile))
+    assert code == 2
+    assert stderr.startswith("configuration error: agents[2]: CFRTrained profile")
+    assert "malformed: line 1: bad probability" in stderr
+    assert len(stderr.splitlines()) == 1
+
+
+def _edit_last_row(log, edit):
+    lines = log.read_text(encoding="utf-8").splitlines()
+    row = lines[-1].split(",")
+    lines[-1] = ",".join(edit(row))
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row[:7] + ["x"], "hand 29: chips3 is not an integer: 'x'"),
+    (lambda row: row[:5], "hand 29: expected 8 fields, got 5"),
+    (lambda row: row + ["0"], "hand 29: expected 8 fields, got 9"),
+], ids=["non-integer-chips", "short-row", "long-row"])
+def test_replay_rejects_malformed_rows(tmp_path, capsys, edit, message):
+    config = write_config(tmp_path)
+    out = tmp_path / "tourn"
+    run(capsys, ["tournament", "--config", config, "--out", str(out)])
+    log = out / "match_g0-1-2_s0_p0.log"
+    _edit_last_row(log, edit)
+    code, _, stderr = run(capsys, ["replay", "--log", str(log)])
+    assert code == 1
+    assert stderr == f"replay mismatch: {message}\n"
+
+
+def test_replay_requires_seats_header(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "tourn"
+    run(capsys, ["tournament", "--config", config, "--out", str(out)])
+    log = out / "match_g0-1-2_s0_p0.log"
+    text = log.read_text(encoding="utf-8")
+    log.write_text("".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("# seats:")), encoding="utf-8")
+    code, _, stderr = run(capsys, ["replay", "--log", str(log)])
+    assert code == 1
+    assert stderr == "replay mismatch: log has no '# seats:' line naming three agents\n"

@@ -8,7 +8,7 @@ import statistics
 import pytest
 
 from kuhn3p import game, harness
-from kuhn3p.agents import Agent, AgentSpec
+from kuhn3p.agents import Agent, AgentSpec, make_agent
 from kuhn3p.harness import MatchConfig
 
 
@@ -202,6 +202,23 @@ def test_replay_detects_tampered_chips():
 def test_replay_detects_malformed_rows():
     with pytest.raises(harness.ReplayError):
         harness.replay_match_log("hand,card1\n0,J\n")
+
+
+def test_tournament_builds_each_stateless_agent_once(monkeypatch):
+    built = []
+
+    def counting_make_agent(spec):
+        built.append(spec.kind)
+        return make_agent(spec)
+
+    monkeypatch.setattr(harness, "make_agent", counting_make_agent)
+    pool = [AgentSpec("FrequencyModeler"), AgentSpec("NashLB"), AgentSpec("UniformRandom")]
+    config = small_config()
+    report = harness.run_tournament(pool, config)
+    matches = 6 * config.matches_per_permutation
+    # Profile agents are built once; the stateful modeler once more per match.
+    assert sorted(built) == sorted(["NashLB", "UniformRandom"] + ["FrequencyModeler"] * (1 + matches))
+    assert sum(r.total_chips for r in report.agents) == 0
 
 
 def test_variance_study_values():
