@@ -89,6 +89,26 @@ def build_honest_profile(king_bet: Fraction | float = Fraction(1, 2)) -> Strateg
     return StrategyProfile(aggressive)
 
 
+# Python-int copies of the compiled tree for the modeler's expectimax.
+_N_DECISIONS = len(game.DECISION_HISTORIES)
+_SEAT = game.DECISION_SEAT.tolist()
+_SITUATION = game.DECISION_SITUATION.tolist()
+_PASSIVE_CHILD = game.PASSIVE_CHILD.tolist()
+_AGGRESSIVE_CHILD = game.AGGRESSIVE_CHILD.tolist()
+
+
+def _terminal_means(seat: Seat, card: Card) -> list[float]:
+    """Per node, seat's mean payoff over the six deals in which it holds
+    card (0 at decision nodes).  Sums of six small integers are exact in
+    float."""
+    deals = [d for d, cards in enumerate(game.DEALS) if cards[seat - 1] == card]
+    return (game.PAYOFFS[deals, :, seat - 1].sum(axis=0) / len(deals)).tolist()
+
+
+_TERMINAL_MEANS = {(seat, card): _terminal_means(seat, card)
+                   for seat in game.SEATS for card in game.CARDS}
+
+
 class FrequencyModeler(Agent):
     """Opponent modeler: tracks per-seat, per-situation aggressive
     frequencies with additive smoothing and plays greedy expectimax against
@@ -116,31 +136,29 @@ class FrequencyModeler(Agent):
 
     def act(self, obs: Observation, rng) -> Action:
         self._seat = obs.seat
-        deals = [d for d in game.DEALS if d[obs.seat - 1] == obs.private_card]
         passive, aggressive = game.action_pair(obs.history)
-        v_passive = self._value(deals, obs.seat, obs.history + passive)
-        v_aggressive = self._value(deals, obs.seat, obs.history + aggressive)
+        n = game.NODE_ID[obs.history]
+        means = _TERMINAL_MEANS[obs.seat, obs.private_card]
+        v_passive = self._value(means, obs.seat, _PASSIVE_CHILD[n])
+        v_aggressive = self._value(means, obs.seat, _AGGRESSIVE_CHILD[n])
         # Ties break passive, matching the best-response convention.
         return aggressive if v_aggressive > v_passive else passive
 
-    def _value(self, deals: list[str], seat: Seat, h: ActionHistory) -> float:
-        # Expected payoff for seat over the uniform posterior on deals, with
-        # opponents playing their modeled frequencies and this agent playing
-        # greedily at its own future decision points.  Modeled frequencies do
-        # not depend on the deal, so branch weights factor out of the frontier.
-        if game.is_terminal(h):
-            total = 0.0
-            for d in deals:
-                total += game.PAYOFF_TABLE[d][h][seat - 1]
-            return total / len(deals)
-        actor = game.acting_seat(h)
-        passive, aggressive = game.action_pair(h)
+    def _value(self, means: list[float], seat: Seat, n: int) -> float:
+        # Expected payoff for seat at node n over the uniform posterior on
+        # deals (means), with opponents playing their modeled frequencies
+        # and this agent playing greedily at its own future decision points.
+        # Modeled frequencies do not depend on the deal, so branch weights
+        # factor out of the posterior.
+        if n >= _N_DECISIONS:
+            return means[n]
+        actor = _SEAT[n]
         if actor == seat:
-            return max(self._value(deals, seat, h + passive),
-                       self._value(deals, seat, h + aggressive))
-        f = self.estimate(actor, game.situation_of(actor, h))
-        return ((1.0 - f) * self._value(deals, seat, h + passive)
-                + f * self._value(deals, seat, h + aggressive))
+            return max(self._value(means, seat, _PASSIVE_CHILD[n]),
+                       self._value(means, seat, _AGGRESSIVE_CHILD[n]))
+        f = self.estimate(actor, _SITUATION[n])
+        return ((1.0 - f) * self._value(means, seat, _PASSIVE_CHILD[n])
+                + f * self._value(means, seat, _AGGRESSIVE_CHILD[n]))
 
     def observe_result(self, revealed: Mapping[Seat, Card],
                        history: ActionHistory,
@@ -151,15 +169,14 @@ class FrequencyModeler(Agent):
         # card-independent model has no use for the revealed ones.
         if self._seat is None:
             return
-        h = ""
+        n = 0
         for token in history:
-            actor = game.acting_seat(h)
+            aggressive = token in (game.BET, game.CALL)
+            actor = _SEAT[n]
             if actor != self._seat:
-                situation = game.situation_of(actor, h)
-                counts = self._counts.setdefault((actor, situation), [0, 0])
-                _, aggressive = game.action_pair(h)
-                counts[1 if token == aggressive else 0] += 1
-            h += token
+                counts = self._counts.setdefault((actor, _SITUATION[n]), [0, 0])
+                counts[aggressive] += 1
+            n = _AGGRESSIVE_CHILD[n] if aggressive else _PASSIVE_CHILD[n]
 
 
 AGENT_KINDS = (

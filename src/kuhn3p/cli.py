@@ -77,7 +77,7 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
     if args.iters < 0:
         print(f"--iters must be >= 0, got {args.iters}", file=sys.stderr)
         return 2
-    trainer = equilibrium.CfrTrainer(seed=args.seed)
+    trainer = equilibrium.CfrTrainer()
     rows = []
     done = 0
     for checkpoint in _checkpoints(args.iters):
@@ -86,7 +86,7 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
         eps = float(equilibrium.epsilon(trainer.average_profile()))
         rows.append((checkpoint, eps))
     profile = trainer.average_profile()
-    header = f"CFR average strategy, iterations={args.iters}, seed={args.seed}"
+    header = f"CFR average strategy, iterations={args.iters}"
     _write_text(args.out, strategy.serialize_profile(profile, header=header))
     trace_path = f"{args.out}.trace.csv"
     trace = "iteration,epsilon\n" + "".join(f"{i},{e!r}\n" for i, e in rows)
@@ -124,7 +124,8 @@ def _parse_agent(entry: object, where: str) -> tuple[AgentSpec, Optional[str]]:
 
 def load_config(path: str, min_agents: int = 3,
                 max_agents: Optional[int] = None) -> tuple[list[AgentSpec], list[str], harness.MatchConfig]:
-    """Parse and validate a tournament/study configuration file."""
+    """Parse and validate a tournament/study configuration file.  A relative
+    CFRTrained profile path is taken relative to the file's directory."""
     text = _read_text(path)
     try:
         raw = json.loads(text)
@@ -150,6 +151,9 @@ def load_config(path: str, min_agents: int = 3,
     names: list[Optional[str]] = []
     for i, entry in enumerate(raw["agents"]):
         spec, name = _parse_agent(entry, f"agents[{i}]")
+        if spec.kind == "CFRTrained":
+            profile = os.path.join(os.path.dirname(path), spec.parameters["profile"])
+            spec = AgentSpec(spec.kind, {**spec.parameters, "profile": profile})
         pool.append(spec)
         names.append(name)
     defaults = harness.default_labels(pool)
@@ -273,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-cfr", help="train vanilla CFR and write the average profile")
     p.add_argument("--iters", type=int, required=True, help="number of iterations")
-    p.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
     p.add_argument("--out", required=True, help="output profile path; trace goes to <out>.trace.csv")
     p.set_defaults(func=cmd_train_cfr)
 

@@ -1,22 +1,29 @@
 """Exact game values, best responses, equilibrium gap, and CFR training.
 
+Every routine here walks the compiled tree of `game`: node ids in
+parent-before-child order, the child tables, the per-deal infoset index
+and the payoff array. None of them touches a history string.
+
 Verification runs in exact rational arithmetic: profile probabilities are
 converted to `Fraction` (exact even for floats), expectations are taken
 over the 24 equiprobable deals, and a profile is an equilibrium iff its
-gap `epsilon` is exactly zero. Two independent routes compute the best
-response value:
+gap `epsilon` is exactly zero. One top-down pass (`_reaches`) gives a
+deal's reach probability at every node, optionally leaving out one seat's
+own actions. Two independent routes compute the best response value:
 
-  * `best_response` walks the tree grouped by the responding seat's
-    information sets, maximizing at each one with opponent-reach-weighted
-    card posteriors (ties go to the passive action);
+  * `best_response` backs opponent-reach-weighted values up the tree in
+    reverse node order, once per card of the responding seat, maximizing
+    at each of its own decision nodes (ties go to the passive action);
   * `pure_strategy_oracle` enumerates all 2^16 = 65,536 pure strategies
     for the seat over its 16 infosets and evaluates each one exactly.
 
 `CfrTrainer` implements vanilla counterfactual regret minimization:
 every iteration enumerates all 24 deals, updates all three seats'
 regrets simultaneously under the regret-matching policy, and accumulates
-the reach-weighted average strategy. The traversal is vectorized across
-deals with numpy and is fully deterministic (there is no sampling).
+the reach-weighted average strategy. Each sweep is two fixed-order passes
+over the node tables, reaches top-down and then values bottom-up, each
+vectorized across deals with numpy. Training is fully deterministic
+(there is no sampling).
 """
 
 from __future__ import annotations
@@ -36,38 +43,68 @@ ValueVector = tuple[Fraction, Fraction, Fraction]
 _CHANCE = Fraction(1, len(DEALS))
 _ZERO = Fraction(0)
 
+_N_DECISIONS = len(game.DECISION_HISTORIES)
+_N_NODES = len(game.NODES)
+# Python-int copies of the compiled tree: numpy integers do not combine
+# exactly with Fraction.
+_SEAT = game.DECISION_SEAT.tolist()
+_SITUATION = game.DECISION_SITUATION.tolist()
+_PASSIVE_CHILD = game.PASSIVE_CHILD.tolist()
+_AGGRESSIVE_CHILD = game.AGGRESSIVE_CHILD.tolist()
+_INFOSET = game.INFOSET_INDEX.tolist()
+_PAYOFFS = game.PAYOFFS.tolist()
 
-def _prob(profile: StrategyProfile, key: InfoSetKey) -> Fraction:
-    # Fraction(float) is exact, so float-valued profiles verify exactly too.
-    return Fraction(profile.aggressive[key])
+
+def _terminal_paths() -> list[tuple[tuple[int, bool], ...]]:
+    """For each terminal in node order, the (decision node, aggressive?)
+    pairs on its path from the root."""
+    paths: list[tuple[tuple[int, bool], ...]] = [()] * _N_NODES
+    for n in range(_N_DECISIONS):
+        paths[_PASSIVE_CHILD[n]] = paths[n] + ((n, False),)
+        paths[_AGGRESSIVE_CHILD[n]] = paths[n] + ((n, True),)
+    return paths[_N_DECISIONS:]
 
 
-def _key_at(seat: int, deal: str, history: str) -> InfoSetKey:
-    sit = game.situation_of(seat, history)
-    return InfoSetKey(seat, deal[seat - 1], sit)
+_TERMINAL_PATHS = _terminal_paths()
+
+
+def _action_probabilities(profile: StrategyProfile) -> list[tuple[Fraction, Fraction]]:
+    """(passive, aggressive) probabilities per infoset, in all_infoset_keys()
+    order. Fraction(float) is exact, so float-valued profiles verify
+    exactly too."""
+    aggressive = [Fraction(profile[key]) for key in game.all_infoset_keys()]
+    return [(1 - p, p) for p in aggressive]
+
+
+def _reaches(probabilities: list[tuple[Fraction, Fraction]], deal: int,
+             skip: int = 0) -> list[Fraction]:
+    """Chance-weighted probability of reaching each of the 25 nodes in deal
+    number `deal`, in node order; the actions of seat `skip` count as
+    certain."""
+    reach = [_CHANCE] + [_ZERO] * (_N_NODES - 1)
+    infosets = _INFOSET[deal]
+    for n in range(_N_DECISIONS):
+        r = reach[n]
+        if _SEAT[n] == skip:
+            reach[_PASSIVE_CHILD[n]] = reach[_AGGRESSIVE_CHILD[n]] = r
+        else:
+            passive, aggressive = probabilities[infosets[n]]
+            reach[_PASSIVE_CHILD[n]] = r * passive
+            reach[_AGGRESSIVE_CHILD[n]] = r * aggressive
+    return reach
 
 
 def expected_values(profile: StrategyProfile) -> ValueVector:
     """Exact per-seat expected net chips per hand under `profile`,
     over all 24 equiprobable deals. Components sum to zero."""
+    probabilities = _action_probabilities(profile)
     totals = [_ZERO, _ZERO, _ZERO]
-
-    def walk(deal: str, history: str, reach: Fraction) -> None:
-        if reach == 0:
-            return
-        if game.is_terminal(history):
-            pay = game.PAYOFF_TABLE[deal][history]
-            for i in range(3):
-                totals[i] += reach * pay[i]
-            return
-        seat = game.acting_seat(history)
-        passive, aggressive = game.action_pair(history)
-        p = _prob(profile, _key_at(seat, deal, history))
-        walk(deal, history + passive, reach * (1 - p))
-        walk(deal, history + aggressive, reach * p)
-
-    for deal in DEALS:
-        walk(deal, "", _CHANCE)
+    for deal, payoffs in enumerate(_PAYOFFS):
+        reach = _reaches(probabilities, deal)
+        for n in range(_N_DECISIONS, _N_NODES):
+            if reach[n]:
+                for i in range(3):
+                    totals[i] += reach[n] * payoffs[n][i]
     return (totals[0], totals[1], totals[2])
 
 
@@ -94,58 +131,40 @@ class BestResponseResult:
 def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     """Expectimax best response for `seat` holding the other seats fixed.
 
-    The recursion carries a frontier of (deal, reach) pairs that share a
-    public history and the seat's own card; opponent decisions split the
-    frontier with their strategy weights, own decisions maximize over the
-    summed frontier value. Exact ties pick the passive action.
+    For each card the seat may hold, values are backed up from the
+    terminals in reverse node order over the deals that share that card,
+    each deal weighted by its opponent-only reach: opponent nodes add
+    their children's values, own nodes take the better child. Exact ties
+    pick the passive action. An own infoset enters `infoset_values` only
+    when some deal reaches it with nonzero opponent weight.
     """
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
+    probabilities = _action_probabilities(profile)
+    reaches = [_reaches(probabilities, deal, skip=seat) for deal in range(len(DEALS))]
     chosen: dict[InfoSetKey, Fraction] = {}
     infoset_values: dict[InfoSetKey, tuple[Fraction, Fraction]] = {}
-
-    def walk(card: str, history: str, frontier: list[tuple[str, Fraction]]) -> Fraction:
-        if game.is_terminal(history):
-            return sum(
-                (r * game.PAYOFF_TABLE[d][history][seat - 1] for d, r in frontier),
-                _ZERO,
-            )
-        actor = game.acting_seat(history)
-        passive, aggressive = game.action_pair(history)
-        if actor != seat:
-            value = _ZERO
-            for action in (passive, aggressive):
-                branch = []
-                for d, r in frontier:
-                    p = _prob(profile, _key_at(actor, d, history))
-                    w = r * (p if action == aggressive else 1 - p)
-                    if w != 0:
-                        branch.append((d, w))
-                if branch:
-                    value += walk(card, history + action, branch)
-            return value
-        key = InfoSetKey(seat, card, game.situation_of(seat, history))
-        v_passive = walk(card, history + passive, frontier)
-        v_aggressive = walk(card, history + aggressive, frontier)
-        infoset_values[key] = (v_passive, v_aggressive)
-        take_aggressive = v_aggressive > v_passive
-        chosen[key] = Fraction(1) if take_aggressive else Fraction(0)
-        return v_aggressive if take_aggressive else v_passive
-
     total = _ZERO
     for card in CARDS:
-        frontier = [(d, _CHANCE) for d in DEALS if d[seat - 1] == card]
-        total += walk(card, "", frontier)
-
-    # Unreachable infosets never enter the walk with weight; fill any the
-    # recursion still missed (cannot happen structurally) passively.
-    for key in _seat_keys(seat):
-        chosen.setdefault(key, Fraction(0))
+        deals = [d for d, cards in enumerate(DEALS) if cards[seat - 1] == card]
+        value = [_ZERO] * _N_NODES
+        for n in range(_N_DECISIONS, _N_NODES):
+            value[n] = sum((reaches[d][n] * _PAYOFFS[d][n][seat - 1]
+                            for d in deals if reaches[d][n]), _ZERO)
+        for n in reversed(range(_N_DECISIONS)):
+            v_passive = value[_PASSIVE_CHILD[n]]
+            v_aggressive = value[_AGGRESSIVE_CHILD[n]]
+            if _SEAT[n] != seat:
+                value[n] = v_passive + v_aggressive
+                continue
+            key = InfoSetKey(seat, card, _SITUATION[n])
+            if any(reaches[d][n] for d in deals):
+                infoset_values[key] = (v_passive, v_aggressive)
+            take_aggressive = v_aggressive > v_passive
+            chosen[key] = Fraction(1) if take_aggressive else Fraction(0)
+            value[n] = v_aggressive if take_aggressive else v_passive
+        total += value[0]
     return BestResponseResult(seat, total, chosen, infoset_values)
-
-
-def _seat_keys(seat: int) -> tuple[InfoSetKey, ...]:
-    return tuple(k for k in game.all_infoset_keys() if k.seat == seat)
 
 
 def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseResult:
@@ -159,30 +178,28 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
 
+    # masks[t]: the 4-bit sub-strategies (bit sit - 1 set means aggressive
+    # in situation sit) that make the seat's own choices on the path to
+    # terminal t.
+    masks = [
+        [m for m in range(16)
+         if all(bool(m >> (_SITUATION[n] - 1) & 1) == aggressive
+                for n, aggressive in path if _SEAT[n] == seat)]
+        for path in _TERMINAL_PATHS
+    ]
     # tables[c][m] = value of playing 4-bit sub-strategy m when holding
-    # card index c, summed over consistent deals and terminal histories.
+    # card index c, summed over consistent deals and terminals.
+    probabilities = _action_probabilities(profile)
     tables = [[_ZERO] * 16 for _ in CARDS]
-    for deal in DEALS:
-        card_slot = CARD_INDEX[deal[seat - 1]] - 1
-        for terminal in game.TERMINAL_HISTORIES:
-            weight = _CHANCE * game.PAYOFF_TABLE[deal][terminal][seat - 1]
-            own_path: list[tuple[int, bool]] = []
-            for i, token in enumerate(terminal):
-                prefix = terminal[:i]
-                actor = game.acting_seat(prefix)
-                _, aggressive = game.action_pair(prefix)
-                if actor == seat:
-                    own_path.append(
-                        (game.situation_of(seat, prefix), token == aggressive)
-                    )
-                else:
-                    p = _prob(profile, _key_at(actor, deal, prefix))
-                    weight *= p if token == aggressive else 1 - p
+    for deal, cards in enumerate(DEALS):
+        table = tables[CARD_INDEX[cards[seat - 1]] - 1]
+        reach = _reaches(probabilities, deal, skip=seat)
+        for n, compatible in enumerate(masks, start=_N_DECISIONS):
+            weight = reach[n] * _PAYOFFS[deal][n][seat - 1]
             if weight == 0:
                 continue
-            for m in range(16):
-                if all(bool(m >> (sit - 1) & 1) == agg for sit, agg in own_path):
-                    tables[card_slot][m] += weight
+            for m in compatible:
+                table[m] += weight
 
     denom = math.lcm(*(v.denominator for row in tables for v in row))
     ints = [[int(v * denom) for v in row] for row in tables]
@@ -272,7 +289,7 @@ def epsilon_report(profile: StrategyProfile) -> EpsilonReport:
         for key, (v_passive, v_aggressive) in sorted(
             br.infoset_values.items(), key=lambda kv: kv[0].sort_index()
         ):
-            p = _prob(profile, key)
+            p = Fraction(profile[key])
             held = p * v_aggressive + (1 - p) * v_passive
             gain = max(v_passive, v_aggressive) - held
             if gain > 0:
@@ -287,35 +304,17 @@ def epsilon_report(profile: StrategyProfile) -> EpsilonReport:
 # Counterfactual regret minimization
 # ---------------------------------------------------------------------------
 
-_KEYS = game.all_infoset_keys()
-_KEY_INDEX = {key: i for i, key in enumerate(_KEYS)}
-_N_KEYS = len(_KEYS)
-_PASSIVE, _AGGRESSIVE = 0, 1
-
-
-def _build_tree_tables():
-    """Static per-history tables for the vectorized traversal: acting
-    seat, per-deal infoset index, child histories, terminal payoffs."""
-    nodes = {}
-    for h in game.DECISION_HISTORIES:
-        seat = game.acting_seat(h)
-        sit = game.situation_of(seat, h)
-        idx = np.array(
-            [_KEY_INDEX[InfoSetKey(seat, d[seat - 1], sit)] for d in DEALS],
-            dtype=np.intp,
-        )
-        passive, aggressive = game.action_pair(h)
-        nodes[h] = (seat - 1, idx, h + passive, h + aggressive)
-    payoffs = {
-        h: np.array([game.PAYOFF_TABLE[d][h] for d in DEALS], dtype=np.float64)
-        for h in game.TERMINAL_HISTORIES
-    }
-    return nodes, payoffs
-
-
-_TREE_NODES, _TREE_PAYOFFS = _build_tree_tables()
+_N_KEYS = len(game.all_infoset_keys())
+_PASSIVE, _AGGRESSIVE = 0, 1  # action columns of the CFR arrays
 _N_DEALS = len(DEALS)
 _CHANCE_F = 1.0 / _N_DEALS
+_DECISIONS = np.arange(_N_DECISIONS)
+_ACTOR = game.DECISION_SEAT - 1
+_CHILDREN = list(zip(_PASSIVE_CHILD, _AGGRESSIVE_CHILD))
+#: (decision node, deal) -> infoset index.
+_NODE_INFOSETS = game.INFOSET_INDEX.T
+#: (terminal, deal, seat - 1) -> net chips.
+_TERMINAL_PAYOFFS = game.PAYOFFS[:, _N_DECISIONS:].transpose(1, 0, 2).astype(np.float64)
 
 
 class CfrTrainer:
@@ -323,13 +322,11 @@ class CfrTrainer:
 
     State is the classic regret/average-strategy pair per infoset and
     action. The current policy is regret matching on the positive part of
-    the cumulative regrets, uniform where none are positive. Training is
-    deterministic; `seed` only labels the run (full deal enumeration
-    leaves nothing to sample).
+    the cumulative regrets, uniform where none are positive. Full deal
+    enumeration leaves nothing to sample, so training is deterministic.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self) -> None:
         self.iteration_count = 0
         self.cumulative_regret = np.zeros((_N_KEYS, 2), dtype=np.float64)
         self.cumulative_strategy = np.zeros((_N_KEYS, 2), dtype=np.float64)
@@ -352,41 +349,36 @@ class CfrTrainer:
         return self
 
     def _sweep(self) -> None:
-        policy = self.current_policy()
-        pol_passive = policy[:, _PASSIVE]
-        pol_aggressive = policy[:, _AGGRESSIVE]
-        idx_parts = []
-        updates = ([], [], [], [])  # regret pass/agg, strategy pass/agg
+        # probability[action, decision node, deal] under regret matching.
+        probability = self.current_policy().T[:, _NODE_INFOSETS]
+        # reach[node, seat - 1, deal]: each seat's own share of the
+        # probability of reaching the node, parents first.
+        reach = np.empty((_N_NODES, 3, _N_DEALS))
+        reach[0] = 1.0
+        for n, actor in enumerate(_SEAT):
+            for child, weight in zip(_CHILDREN[n], probability[:, n]):
+                reach[child] = reach[n]
+                reach[child, actor - 1] *= weight
+        # value[node, deal, seat - 1]: expected chips, children first.
+        value = np.empty((_N_NODES, _N_DEALS, 3))
+        value[_N_DECISIONS:] = _TERMINAL_PAYOFFS
+        for n in reversed(range(_N_DECISIONS)):
+            passive, aggressive = _CHILDREN[n]
+            value[n] = (probability[_PASSIVE, n, :, None] * value[passive]
+                        + probability[_AGGRESSIVE, n, :, None] * value[aggressive])
 
-        def walk(history: str, reach: np.ndarray) -> np.ndarray:
-            node = _TREE_NODES.get(history)
-            if node is None:
-                return _TREE_PAYOFFS[history]
-            seat0, idx, h_passive, h_aggressive = node
-            sp = pol_passive[idx]
-            sa = pol_aggressive[idx]
-            reach_p = reach.copy()
-            reach_p[seat0] *= sp
-            reach_a = reach.copy()
-            reach_a[seat0] *= sa
-            v_passive = walk(h_passive, reach_p)
-            v_aggressive = walk(h_aggressive, reach_a)
-            value = sp[:, None] * v_passive + sa[:, None] * v_aggressive
-            counterfactual = _CHANCE_F * reach[seat0 - 1] * reach[seat0 - 2]
-            own = _CHANCE_F * reach[seat0]
-            idx_parts.append(idx)
-            updates[0].append(counterfactual * (v_passive[:, seat0] - value[:, seat0]))
-            updates[1].append(counterfactual * (v_aggressive[:, seat0] - value[:, seat0]))
-            updates[2].append(own * sp)
-            updates[3].append(own * sa)
-            return value
-
-        walk("", np.ones((3, _N_DEALS), dtype=np.float64))
-        idx = np.concatenate(idx_parts)
-        np.add.at(self.cumulative_regret[:, _PASSIVE], idx, np.concatenate(updates[0]))
-        np.add.at(self.cumulative_regret[:, _AGGRESSIVE], idx, np.concatenate(updates[1]))
-        np.add.at(self.cumulative_strategy[:, _PASSIVE], idx, np.concatenate(updates[2]))
-        np.add.at(self.cumulative_strategy[:, _AGGRESSIVE], idx, np.concatenate(updates[3]))
+        # Every infoset belongs to one decision node, so each one takes its
+        # six updates in deal order, whatever the order of the nodes.
+        # _ACTOR - 1 and _ACTOR - 2 are the other two seats (indices wrap).
+        actor_value = value[_DECISIONS, :, _ACTOR]
+        counterfactual = (_CHANCE_F * reach[_DECISIONS, _ACTOR - 1]
+                          * reach[_DECISIONS, _ACTOR - 2])
+        own = _CHANCE_F * reach[_DECISIONS, _ACTOR]
+        for action, child in enumerate((game.PASSIVE_CHILD, game.AGGRESSIVE_CHILD)):
+            np.add.at(self.cumulative_regret[:, action], _NODE_INFOSETS,
+                      counterfactual * (value[child, :, _ACTOR] - actor_value))
+            np.add.at(self.cumulative_strategy[:, action], _NODE_INFOSETS,
+                      own * probability[action])
 
     def average_profile(self) -> StrategyProfile:
         """Normalized average strategy; uniform at never-reached infosets
@@ -397,11 +389,11 @@ class CfrTrainer:
             norms > 0, sums[:, _AGGRESSIVE] / np.where(norms > 0, norms, 1.0), 0.5
         )
         return StrategyProfile(
-            {key: float(aggressive[i]) for i, key in enumerate(_KEYS)}
+            {key: float(aggressive[i]) for i, key in enumerate(game.all_infoset_keys())}
         )
 
 
-def cfr_train(iterations: int, seed: int = 0) -> StrategyProfile:
+def cfr_train(iterations: int) -> StrategyProfile:
     """Average profile of `iterations` vanilla-CFR sweeps; uniform when
     `iterations` is zero."""
-    return CfrTrainer(seed).run(iterations).average_profile()
+    return CfrTrainer().run(iterations).average_profile()

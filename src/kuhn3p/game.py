@@ -15,9 +15,12 @@ responders fold the bettor takes the pot; otherwise the highest card
 among the non-folded seats wins the showdown.
 
 Histories and deals are plain strings ("KKBFC", "QKA") so they serialize
-as themselves. All functions are pure and precomputed tables back the
-hot paths. The same tree is also compiled to integer node ids and numpy
-tables (end of module) for code that plays many hands at once.
+as themselves; the string functions below are the public rules API that
+agents, logs and the per-decision match loop use. The same tree is also
+compiled to integer node ids and numpy tables (end of module). Batch
+match play, exact verification, CFR, the opponent modeler and log replay
+read only those tables, so this module is the only one that knows the
+tree's shape.
 """
 
 from __future__ import annotations
@@ -121,14 +124,6 @@ def acting_seat(history: str) -> int | None:
     if history in _TERMINALS:
         return None
     return _DECISION_POINTS[history][0]
-
-
-def legal_actions(history: str) -> frozenset[str]:
-    """{K, B} with no bet outstanding, {C, F} when facing one."""
-    _require_known(history)
-    if history in _TERMINALS:
-        raise IllegalHistoryError(f"no actions at terminal history {history!r}")
-    return frozenset("KB") if BET not in history else frozenset("CF")
 
 
 def action_pair(history: str) -> tuple[str, str]:
@@ -251,8 +246,11 @@ def _decision_slot(history: str) -> int:
     return sum(_DECISION_POINTS[history[:j]][0] == seat for j in range(len(history)))
 
 
-#: Acting seat (1-3) and that seat's decision slot (0 or 1).
+#: Acting seat (1-3), its betting situation (1-4) and its decision slot
+#: (0 or 1).
 DECISION_SEAT = np.array([_DECISION_POINTS[h][0] for h in DECISION_HISTORIES], dtype=np.intp)
+DECISION_SITUATION = np.array([_DECISION_POINTS[h][1] for h in DECISION_HISTORIES],
+                              dtype=np.intp)
 DECISION_SLOT = np.array([_decision_slot(h) for h in DECISION_HISTORIES], dtype=np.intp)
 #: Node ids reached by the passive (K or F) and aggressive (B or C) action.
 PASSIVE_CHILD = np.array([NODE_ID[h + action_pair(h)[0]] for h in DECISION_HISTORIES], dtype=np.intp)

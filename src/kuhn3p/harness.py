@@ -40,7 +40,6 @@ PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
 _DOMAIN_CARDS = 0
 _DOMAIN_DECISIONS = 1
 _DOMAIN_STUDY_CARDS = 2
-_DOMAIN_STUDY_DECISIONS = 3
 _DOMAIN_STUDY_INDEP_CARDS = 4
 _DOMAIN_STUDY_INDEP_DECISIONS = 5
 
@@ -472,13 +471,15 @@ class ReplayError(ValueError):
 
 
 def replay_match_log(text: str) -> tuple[int, int, int]:
-    """Re-derive every hand's payoffs from its cards and action string and
-    check them against the logged chips; returns the per-seat totals.
+    """Look up every hand's payoffs from its cards and action string in the
+    rules engine's payoff table and check them against the logged chips;
+    returns the per-seat totals.
 
     Raises ReplayError naming the hand and the field for a log that lacks
     the '# seats:' line naming three agents, a row without exactly one
-    value per column, a chip count that is not an integer, or chips that
-    disagree with the rules."""
+    value per column, an invalid deal, an action string that does not end
+    the hand, a chip count that is not an integer, or chips that disagree
+    with the rules."""
     lines = text.splitlines()
     seats = [line[len("# seats:"):].strip().split(",")
              for line in lines if line.startswith("# seats:")]
@@ -499,9 +500,11 @@ def replay_match_log(text: str) -> tuple[int, int, int]:
         deal = row[1] + row[2] + row[3]
         actions = row[4]
         try:
-            derived = game.terminal_payoffs(deal, actions)
-        except Exception as exc:
-            raise ReplayError(f"hand {index}: {exc}") from exc
+            derived = game.PAYOFF_TABLE[deal][actions]
+        except KeyError:
+            problem = (f"invalid deal {deal!r}" if deal not in game.PAYOFF_TABLE
+                       else f"history {actions!r} is not terminal")
+            raise ReplayError(f"hand {index}: {problem}") from None
         try:
             logged = tuple(map(int, row[5:]))
         except ValueError:

@@ -114,18 +114,6 @@ class StrategyProfile:
         updated[key] = p
         return StrategyProfile(updated)
 
-    def seat_keys(self, seat: int) -> tuple[InfoSetKey, ...]:
-        return tuple(k for k in game.all_infoset_keys() if k.seat == seat)
-
-
-def aggressive_probability(profile: StrategyProfile, key: InfoSetKey) -> Probability:
-    """Probability of B (no bet outstanding) or C (facing a bet) at `key`."""
-    return profile.aggressive[key]
-
-
-def uniform_profile() -> StrategyProfile:
-    return StrategyProfile({k: _F(1, 2) for k in game.all_infoset_keys()})
-
 
 def constant_profile(p: Probability) -> StrategyProfile:
     return StrategyProfile({k: p for k in game.all_infoset_keys()})

@@ -119,7 +119,7 @@ def test_criterion_4_best_response_matches_pure_oracle(capsys):
 
 def test_criterion_5_cfr_converges(capsys):
     start = time.perf_counter()
-    trainer = equilibrium.CfrTrainer(seed=0)
+    trainer = equilibrium.CfrTrainer()
     checkpoints = [100, 1_000, 10_000, 100_000]
     trace = []
     done = 0

@@ -47,7 +47,7 @@ def test_every_agent_plays_legal_actions_everywhere():
         for obs in all_observations():
             for u in (0.0, 0.5, 0.97):
                 action = agent.act(obs, FixedRng(u))
-                assert action in game.legal_actions(obs.history), (spec, obs)
+                assert action in game.action_pair(obs.history), (spec, obs)
 
 
 def test_profile_agent_uses_profile_probabilities():
@@ -170,6 +170,33 @@ def test_modeler_decision_ignores_hidden_cards():
     b.observe_result({}, history, payoffs)
     obs = Observation(1, "Q", "", 1)
     assert a.act(obs, FixedRng(0.5)) == b.act(obs, FixedRng(0.5))
+
+
+def string_expectimax(modeler, deals, seat, h):
+    """The modeler's expectimax over history strings, as a reference."""
+    if game.is_terminal(h):
+        return sum(game.terminal_payoffs(d, h)[seat - 1] for d in deals) / len(deals)
+    values = [string_expectimax(modeler, deals, seat, h + a) for a in game.action_pair(h)]
+    actor = game.acting_seat(h)
+    if actor == seat:
+        return max(values)
+    f = modeler.estimate(actor, game.situation_of(actor, h))
+    return (1.0 - f) * values[0] + f * values[1]
+
+
+def test_modeler_act_matches_string_expectimax():
+    modeler = agents.FrequencyModeler(smoothing=0.5)
+    modeler.act(Observation(1, "Q", "", 0), FixedRng(0.5))
+    for i, history in enumerate(game.TERMINAL_HISTORIES):
+        for _ in range(i):
+            modeler.observe_result({}, history, game.terminal_payoffs("JQK", history))
+    for obs in all_observations():
+        deals = [d for d in game.DEALS if d[obs.seat - 1] == obs.private_card]
+        passive, aggressive = game.action_pair(obs.history)
+        v_passive, v_aggressive = (string_expectimax(modeler, deals, obs.seat, obs.history + a)
+                                   for a in (passive, aggressive))
+        expected = aggressive if v_aggressive > v_passive else passive
+        assert modeler.act(obs, FixedRng(0.5)) == expected, obs
 
 
 def test_modeler_rejects_bad_smoothing():

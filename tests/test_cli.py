@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_verify_threshold_is_adjustable(tmp_path, capsys):
 
 def test_verify_rejects_uniform(tmp_path, capsys):
     path = tmp_path / "uniform.txt"
-    path.write_text(strategy.serialize_profile(strategy.uniform_profile()),
+    path.write_text(strategy.serialize_profile(strategy.constant_profile(F(1, 2))),
                     encoding="utf-8")
     code, stdout, _ = run(capsys, ["verify", "--profile", str(path)])
     assert code == 1
@@ -110,17 +111,15 @@ def test_train_cfr_zero_iterations_is_uniform(tmp_path, capsys):
                                    "--out", str(out)])
     assert code == 0
     profile = strategy.parse_profile(out.read_text(encoding="utf-8"))
-    assert profile == strategy.uniform_profile()
+    assert profile == strategy.constant_profile(F(1, 2))
     trace = (tmp_path / "cfr.txt.trace.csv").read_text(encoding="utf-8")
     assert trace.splitlines()[0] == "iteration,epsilon"
 
 
 def test_train_cfr_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    run(capsys, ["train-cfr", "--iters", "200", "--seed", "5",
-                 "--out", str(a)])
-    run(capsys, ["train-cfr", "--iters", "200", "--seed", "5",
-                 "--out", str(b)])
+    run(capsys, ["train-cfr", "--iters", "200", "--out", str(a)])
+    run(capsys, ["train-cfr", "--iters", "200", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.txt.trace.csv").read_bytes() == \
         (tmp_path / "b.txt.trace.csv").read_bytes()
@@ -284,6 +283,19 @@ def test_malformed_cfr_profile_is_a_config_error(tmp_path, capsys, command):
     assert len(stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["tournament", "variance-study"])
+def test_relative_cfr_profile_is_read_next_to_the_config(tmp_path, capsys, monkeypatch, command):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "trained.profile").write_text(
+        strategy.serialize_profile(strategy.nash_profile("LB")), encoding="utf-8")
+    argv = cfr_trained_argv(configs, command, "trained.profile")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    code, _, stderr = run(capsys, argv)
+    assert (code, stderr) == (0, "")
+
+
 def _edit_last_row(log, edit):
     lines = log.read_text(encoding="utf-8").splitlines()
     row = lines[-1].split(",")
@@ -295,7 +307,9 @@ def _edit_last_row(log, edit):
     (lambda row: row[:7] + ["x"], "hand 29: chips3 is not an integer: 'x'"),
     (lambda row: row[:5], "hand 29: expected 8 fields, got 5"),
     (lambda row: row + ["0"], "hand 29: expected 8 fields, got 9"),
-], ids=["non-integer-chips", "short-row", "long-row"])
+    (lambda row: row[:1] + ["Q", "K", "Q"] + row[4:], "hand 29: invalid deal 'QKQ'"),
+    (lambda row: row[:4] + ["KK"] + row[5:], "hand 29: history 'KK' is not terminal"),
+], ids=["non-integer-chips", "short-row", "long-row", "invalid-deal", "non-terminal-history"])
 def test_replay_rejects_malformed_rows(tmp_path, capsys, edit, message):
     config = write_config(tmp_path)
     out = tmp_path / "tourn"

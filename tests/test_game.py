@@ -84,19 +84,18 @@ def test_acting_seat_rotation():
 
 def test_legal_actions_by_phase():
     # No outstanding bet: check or bet; facing a bet: call or fold.
-    assert game.legal_actions("") == frozenset({"K", "B"})
-    assert game.legal_actions("K") == frozenset({"K", "B"})
-    assert game.legal_actions("KK") == frozenset({"K", "B"})
-    assert game.legal_actions("B") == frozenset({"C", "F"})
-    assert game.legal_actions("KKBF") == frozenset({"C", "F"})
     assert game.action_pair("") == ("K", "B")
+    assert game.action_pair("K") == ("K", "B")
+    assert game.action_pair("KK") == ("K", "B")
+    assert game.action_pair("B") == ("F", "C")
+    assert game.action_pair("KKBF") == ("F", "C")
     assert game.action_pair("KB") == ("F", "C")
 
 
 def test_illegal_histories_rejected():
     for bad in ("X", "KKKK", "BB", "KKBFFX", "F", "C", "KF"):
         with pytest.raises(game.IllegalHistoryError):
-            game.legal_actions(bad)
+            game.action_pair(bad)
     with pytest.raises(game.IllegalHistoryError):
         game.terminal_payoffs("QKA", "KK")  # not terminal
     with pytest.raises(ValueError):

@@ -126,7 +126,7 @@ def test_complete_profile_rejects_bad_tables():
 
 
 def test_uniform_and_constant_profiles():
-    uniform = strategy.uniform_profile()
+    uniform = strategy.constant_profile(F(1, 2))
     assert all(p == F(1, 2) for p in uniform.aggressive.values())
     zero = strategy.constant_profile(F(0))
     assert all(p == 0 for p in zero.aggressive.values())
@@ -135,19 +135,11 @@ def test_uniform_and_constant_profiles():
 
 
 def test_profile_replace():
-    profile = strategy.uniform_profile()
+    profile = strategy.constant_profile(F(1, 2))
     key = InfoSetKey(2, "K", 2)
     changed = profile.replace(key, F(1))
     assert changed[key] == 1
     assert profile[key] == F(1, 2)  # original untouched
-
-
-def test_seat_keys():
-    profile = strategy.uniform_profile()
-    for seat in (1, 2, 3):
-        keys = profile.seat_keys(seat)
-        assert len(keys) == 16
-        assert all(k.seat == seat for k in keys)
 
 
 def test_serialize_parse_round_trip():
@@ -173,7 +165,7 @@ def test_parse_profile_float_round_trip():
 
 
 def test_parse_profile_errors_carry_line_numbers():
-    good = strategy.serialize_profile(strategy.uniform_profile())
+    good = strategy.serialize_profile(strategy.constant_profile(F(1, 2)))
     lines = good.splitlines()
 
     with pytest.raises(strategy.ProfileFormatError) as err:
