@@ -14,6 +14,7 @@ opponent modeler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
@@ -89,6 +90,13 @@ def build_honest_profile(king_bet: Fraction | float = Fraction(1, 2)) -> Strateg
     return StrategyProfile(aggressive)
 
 
+def _as_smoothing(value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"smoothing must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 # Python-int copies of the compiled tree for the modeler's expectimax.
 _N_DECISIONS = len(game.DECISION_HISTORIES)
 _SEAT = game.DECISION_SEAT.tolist()
@@ -122,9 +130,7 @@ class FrequencyModeler(Agent):
     name = "FrequencyModeler"
 
     def __init__(self, smoothing: float = 1.0) -> None:
-        if not smoothing > 0:
-            raise ValueError(f"smoothing must be > 0, got {smoothing!r}")
-        self.smoothing = float(smoothing)
+        self.smoothing = _as_smoothing(smoothing)
         self._counts: dict[tuple[Seat, int], list[int]] = {}
         self._seat: Optional[Seat] = None
 
@@ -200,7 +206,9 @@ _PARAMETERS = {
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """Declarative agent description, as written in tournament configs."""
+    """Declarative agent description.  A tournament config names a
+    CFRTrained profile by path; the CLI reads and parses that file, so the
+    spec always holds the StrategyProfile itself."""
 
     kind: str
     parameters: Mapping[str, object] = field(default_factory=dict)
@@ -230,35 +238,24 @@ def validate_spec(spec: AgentSpec) -> None:
             raise ValueError(f"{spec.kind} does not accept parameter {key!r}")
     if spec.kind == "CFRTrained":
         if "profile" not in spec.parameters:
-            raise ValueError("CFRTrained requires parameter 'profile' (path to a profile file)")
-        if not isinstance(spec.parameters["profile"], str):
-            raise ValueError("CFRTrained parameter 'profile' must be a path string")
+            raise ValueError("CFRTrained requires parameter 'profile'")
+        if not isinstance(spec.parameters["profile"], StrategyProfile):
+            raise ValueError("CFRTrained parameter 'profile' must be a StrategyProfile")
     if spec.kind == "HonestNoBluff" and "king_bet" in spec.parameters:
         _as_probability(spec.parameters["king_bet"], "king_bet")
     if spec.kind == "FrequencyModeler" and "smoothing" in spec.parameters:
-        smoothing = spec.parameters["smoothing"]
-        if not isinstance(smoothing, (int, float)) or isinstance(smoothing, bool) or not smoothing > 0:
-            raise ValueError(f"smoothing must be a number > 0, got {smoothing!r}")
+        _as_smoothing(spec.parameters["smoothing"])
 
 
 def make_agent(spec: AgentSpec) -> Agent:
-    """Construct the agent an AgentSpec describes.  Deterministic."""
+    """Validate an AgentSpec and construct the agent it describes.  Pure:
+    it reads no file, and equal specs give agents that play alike."""
     validate_spec(spec)
     kind = spec.kind
     if kind == "NashLB" or kind == "NashUB":
         return ProfileAgent(strategy.nash_profile(kind[-2:]), kind)
     if kind == "CFRTrained":
-        path = spec.parameters["profile"]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValueError(f"CFRTrained profile {path!r} is unreadable: {exc}") from exc
-        try:
-            profile = strategy.parse_profile(text)
-        except strategy.ProfileFormatError as exc:
-            raise ValueError(f"CFRTrained profile {path!r} is malformed: {exc}") from exc
-        return ProfileAgent(profile, "CFRTrained")
+        return ProfileAgent(spec.parameters["profile"], kind)
     if kind == "UniformRandom":
         return ProfileAgent(strategy.constant_profile(Fraction(1, 2)), kind)
     if kind == "AlwaysAggressive":
@@ -269,4 +266,4 @@ def make_agent(spec: AgentSpec) -> Agent:
         king_bet = _as_probability(spec.parameters.get("king_bet", 0.5), "king_bet")
         return ProfileAgent(build_honest_profile(king_bet), kind)
     assert kind == "FrequencyModeler"
-    return FrequencyModeler(float(spec.parameters.get("smoothing", 1.0)))
+    return FrequencyModeler(spec.parameters.get("smoothing", 1.0))

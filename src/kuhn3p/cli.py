@@ -22,21 +22,32 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import agents, equilibrium, harness, strategy
-from .agents import Agent, AgentSpec, validate_spec
-from .strategy import ProfileFormatError
+from . import equilibrium, harness, strategy
+from .agents import AgentSpec, validate_spec
+from .strategy import ProfileFormatError, StrategyProfile
 
 
 class ConfigError(ValueError):
     """A configuration file failed validation; message names the field."""
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, failure: Optional[str] = None) -> str:
+    """The text of a UTF-8 file.  A file that cannot be opened or decoded
+    is a ConfigError reading '<failure>: <reason>', where failure defaults
+    to 'cannot read <path>'."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{failure or f'cannot read {path}'}: {exc}") from exc
+
+
+def _read_profile(path: str, where: str) -> StrategyProfile:
+    text = _read_text(path, f"{where}: CFRTrained profile {path!r} is unreadable")
+    try:
+        return strategy.parse_profile(text)
+    except ProfileFormatError as exc:
+        raise ConfigError(f"{where}: CFRTrained profile {path!r} is malformed: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -103,7 +114,7 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _parse_agent(entry: object, where: str) -> tuple[AgentSpec, Optional[str]]:
+def _parse_agent(entry: object, where: str, directory: str) -> tuple[AgentSpec, Optional[str]]:
     _require(isinstance(entry, dict), f"{where}: expected an object")
     unknown = set(entry) - {"kind", "name", "parameters"}
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
@@ -114,6 +125,11 @@ def _parse_agent(entry: object, where: str) -> tuple[AgentSpec, Optional[str]]:
         _require(isinstance(name, str) and name != "", f"{where}.name: expected a non-empty string")
     parameters = entry.get("parameters", {})
     _require(isinstance(parameters, dict), f"{where}.parameters: expected an object")
+    if entry["kind"] == "CFRTrained" and "profile" in parameters:
+        path = parameters["profile"]
+        _require(isinstance(path, str), f"{where}: CFRTrained parameter 'profile' must be a path string")
+        path = os.path.join(directory, path)
+        parameters = {**parameters, "profile": _read_profile(path, where)}
     spec = AgentSpec(entry["kind"], parameters)
     try:
         validate_spec(spec)
@@ -124,8 +140,9 @@ def _parse_agent(entry: object, where: str) -> tuple[AgentSpec, Optional[str]]:
 
 def load_config(path: str, min_agents: int = 3,
                 max_agents: Optional[int] = None) -> tuple[list[AgentSpec], list[str], harness.MatchConfig]:
-    """Parse and validate a tournament/study configuration file.  A relative
-    CFRTrained profile path is taken relative to the file's directory."""
+    """Parse and validate a tournament/study configuration file, reading
+    each CFRTrained profile file into its spec.  A relative profile path is
+    taken relative to the configuration file's directory."""
     text = _read_text(path)
     try:
         raw = json.loads(text)
@@ -150,10 +167,7 @@ def load_config(path: str, min_agents: int = 3,
     pool = []
     names: list[Optional[str]] = []
     for i, entry in enumerate(raw["agents"]):
-        spec, name = _parse_agent(entry, f"agents[{i}]")
-        if spec.kind == "CFRTrained":
-            profile = os.path.join(os.path.dirname(path), spec.parameters["profile"])
-            spec = AgentSpec(spec.kind, {**spec.parameters, "profile": profile})
+        spec, name = _parse_agent(entry, f"agents[{i}]", os.path.dirname(path))
         pool.append(spec)
         names.append(name)
     defaults = harness.default_labels(pool)
@@ -166,8 +180,8 @@ def load_config(path: str, min_agents: int = 3,
         return value
 
     divisor = raw.get("normalization_divisor", 100_000)
-    _require(isinstance(divisor, (int, float)) and not isinstance(divisor, bool) and divisor > 0,
-             "normalization_divisor: expected a positive number")
+    _require(isinstance(divisor, (int, float)) and not isinstance(divisor, bool),
+             "normalization_divisor: expected a number")
     try:
         config = harness.MatchConfig(
             master_seed=raw["master_seed"],
@@ -180,23 +194,10 @@ def load_config(path: str, min_agents: int = 3,
     return pool, labels, config
 
 
-def build_agents(pool: Sequence[AgentSpec]) -> list[Agent]:
-    """Build each pool agent once; a CFRTrained profile file that cannot be
-    read or parsed is a configuration error naming its agents[] entry."""
-    built = []
-    for i, spec in enumerate(pool):
-        try:
-            built.append(agents.make_agent(spec))
-        except ValueError as exc:
-            raise ConfigError(f"agents[{i}]: {exc}") from exc
-    return built
-
-
 def cmd_tournament(args: argparse.Namespace) -> int:
     pool, labels, config = load_config(args.config)
-    built = build_agents(pool)
     os.makedirs(args.out, exist_ok=True)
-    report = harness.run_tournament(pool, config, labels=labels, agents=built)
+    report = harness.run_tournament(pool, config, labels=labels)
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
@@ -224,7 +225,7 @@ def cmd_variance_study(args: argparse.Namespace) -> int:
         print(f"--replications must be >= 30, got {args.replications}", file=sys.stderr)
         return 2
     triple, labels, config = load_config(args.config, min_agents=3, max_agents=3)
-    study = harness.variance_study(triple, config, args.replications, agents=build_agents(triple))
+    study = harness.variance_study(triple, config, args.replications)
     record = {
         "agents": labels,
         "studied_agent": labels[0],

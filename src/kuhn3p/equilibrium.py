@@ -230,10 +230,7 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
 def epsilon(profile: StrategyProfile) -> Fraction:
     """Largest unilateral gain any seat can get by deviating; exactly
     zero iff `profile` is a Nash equilibrium."""
-    evs = expected_values(profile)
-    return max(
-        best_response(profile, seat).br_value - evs[seat - 1] for seat in SEATS
-    )
+    return epsilon_report(profile).epsilon
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import game
-from .agents import Agent, AgentSpec, Observation, ProfileAgent, make_agent, validate_spec
+from .agents import Agent, AgentSpec, Observation, ProfileAgent, make_agent
 
 # Seat permutations in a fixed order: permutation p assigns triple slot
 # PERMUTATIONS[p][s-1] to seat s.
@@ -61,9 +61,9 @@ class MatchConfig:
         if self.matches_per_permutation < 1:
             raise ValueError(
                 f"matches_per_permutation must be >= 1, got {self.matches_per_permutation}")
-        if not self.normalization_divisor > 0:
+        if not (math.isfinite(self.normalization_divisor) and self.normalization_divisor > 0):
             raise ValueError(
-                f"normalization_divisor must be > 0, got {self.normalization_divisor}")
+                f"normalization_divisor must be finite and > 0, got {self.normalization_divisor}")
 
 
 class HandRecord(NamedTuple):
@@ -124,26 +124,22 @@ class _SlotRng:
         return self.value
 
 
-def run_match(specs: Sequence[AgentSpec], cards: Sequence[str],
-              seed: int | np.random.SeedSequence,
-              agents: Optional[Sequence[Agent]] = None) -> MatchRecord:
-    """Play one match: specs[s-1] occupies seat s for every hand of cards.
+def run_match(agents: Sequence[Agent], cards: Sequence[str],
+              seed: int | np.random.SeedSequence) -> MatchRecord:
+    """Play one match: agents[s-1] occupies seat s for every hand of cards.
 
     Decision uniforms are drawn up front as an array indexed by
     (hand, seat, nth decision of that seat), making every decision's
-    randomness a pure function of the seed and its position.  Pass agents
-    to reuse already-constructed instances; otherwise each spec is built
-    fresh, giving stateful agents a clean slate.
+    randomness a pure function of the seed and its position.  The agents
+    are played as given, state included; build them with make_agent.
 
     A lineup of three plain ProfileAgents plays every hand at once on the
     compiled tree (`_play_profiles`); any other lineup, subclasses
     included, takes the per-decision loop below.  Both give identical
     records for the same inputs.
     """
-    if len(specs) != 3:
-        raise ValueError(f"a match needs exactly 3 agents, got {len(specs)}")
-    if agents is None:
-        agents = [make_agent(spec) for spec in specs]
+    if len(agents) != 3:
+        raise ValueError(f"a match needs exactly 3 agents, got {len(agents)}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     gen = np.random.Generator(np.random.Philox(seq))
     # Seats 1 and 2 act at most twice per hand, seat 3 at most once.
@@ -212,53 +208,49 @@ def _play_profiles(agents: Sequence[ProfileAgent], cards: Sequence[str],
     return MatchRecord(tuple(agent.name for agent in agents), totals, hands)
 
 
-def _built(specs: Sequence[AgentSpec], agents: Optional[Sequence[Agent]]) -> list[Agent]:
-    """One agent per spec: the given ones, or each spec built once."""
-    if agents is None:
-        return [make_agent(spec) for spec in specs]
-    if len(agents) != len(specs):
-        raise ValueError(f"got {len(agents)} agents for {len(specs)} specs")
-    return list(agents)
+def _play_seatings(triple: Sequence[AgentSpec], built: Sequence[Agent], master_seed: int,
+                   cards: Sequence[Sequence[str]],
+                   decision_key: tuple[int, ...]) -> tuple[list[MatchRecord], tuple[int, int, int]]:
+    """The six matches of a triple, one per seating permutation, and their
+    chips per triple slot.  Permutation p plays cards[p] with decisions
+    keyed by decision_key + (p,).  built holds one agent per slot, made by
+    make_agent: stateless ProfileAgents are shared read-only, and any other
+    agent is built afresh from its spec, so that it starts every match
+    with a clean slate."""
+    matches = []
+    slot_totals = [0, 0, 0]
+    for p, perm in enumerate(PERMUTATIONS):
+        seated = [built[slot] if type(built[slot]) is ProfileAgent else make_agent(triple[slot])
+                  for slot in perm]
+        seed = np.random.SeedSequence(master_seed, spawn_key=decision_key + (p,))
+        record = run_match(seated, cards[p], seed)
+        for s in range(3):
+            slot_totals[perm[s]] += record.seat_totals[s]
+        matches.append(record)
+    return matches, tuple(slot_totals)
 
 
-def _seat(triple: Sequence[AgentSpec], built: Sequence[Agent],
-          perm: tuple[int, ...]) -> tuple[list[AgentSpec], list[Agent]]:
-    """Specs and agents by seat for one seating permutation of a triple.
-    Stateless ProfileAgents are shared read-only; any other agent is built
-    afresh from its spec, so that it starts every match with a clean slate."""
-    specs = [triple[slot] for slot in perm]
-    agents = [built[slot] if type(built[slot]) is ProfileAgent else make_agent(triple[slot])
-              for slot in perm]
-    return specs, agents
+def _duplicate_set(triple: Sequence[AgentSpec], built: Sequence[Agent], config: MatchConfig,
+                   set_key: Sequence[int]) -> DuplicateSet:
+    if len(triple) != 3:
+        raise ValueError(f"a duplicate set needs exactly 3 agents, got {len(triple)}")
+    key = tuple(int(k) for k in set_key)
+    cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
+    matches, slot_totals = _play_seatings(triple, built, config.master_seed, [cards] * 6,
+                                          (_DOMAIN_DECISIONS,) + key)
+    return DuplicateSet(tuple(spec.kind for spec in triple), cards, matches, slot_totals)
 
 
 def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
-                      set_key: Sequence[int],
-                      agents: Optional[Sequence[Agent]] = None) -> DuplicateSet:
+                      set_key: Sequence[int]) -> DuplicateSet:
     """One duplicate set: a fresh card sequence replayed over all 6 seatings.
 
     set_key identifies the set within the tournament (grouping indices plus
     set index); it keys both the card stream and the per-permutation
-    decision streams.  agents, if given, are built from triple by
-    make_agent; stateful ones are still rebuilt for every match.
+    decision streams.  Each spec is built once by make_agent; stateful
+    agents are rebuilt for every match.
     """
-    if len(triple) != 3:
-        raise ValueError(f"a duplicate set needs exactly 3 agents, got {len(triple)}")
-    built = _built(triple, agents)
-    key = tuple(int(k) for k in set_key)
-    cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
-    matches = []
-    slot_totals = [0, 0, 0]
-    for p, perm in enumerate(PERMUTATIONS):
-        specs, seated = _seat(triple, built, perm)
-        seed = np.random.SeedSequence(
-            config.master_seed, spawn_key=(_DOMAIN_DECISIONS,) + key + (p,))
-        record = run_match(specs, cards, seed, agents=seated)
-        for s in range(3):
-            slot_totals[perm[s]] += record.seat_totals[s]
-        matches.append(record)
-    names = tuple(spec.kind for spec in triple)
-    return DuplicateSet(names, cards, matches, tuple(slot_totals))
+    return _duplicate_set(triple, [make_agent(spec) for spec in triple], config, set_key)
 
 
 @dataclass
@@ -319,27 +311,24 @@ def default_labels(specs: Sequence[AgentSpec]) -> list[str]:
 
 def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
                    labels: Optional[Sequence[str]] = None,
-                   keep_hands: bool = True,
-                   agents: Optional[Sequence[Agent]] = None) -> TournamentReport:
+                   keep_hands: bool = True) -> TournamentReport:
     """Run every 3-subset of the pool through the duplicate-match protocol.
 
     Each grouping plays matches_per_permutation duplicate sets (6 matches
     each).  Set seeds derive from (grouping indices, set index) so the pool
     may grow without disturbing existing groupings.  keep_hands=False drops
     per-hand logs after aggregation to bound memory on large tournaments.
-    Each pool agent is built once, unless agents already holds them (built
-    from pool by make_agent); stateful ones are rebuilt for every match.
+    Each pool agent is built once by make_agent, which validates its spec;
+    stateful ones are rebuilt for every match.
     """
     if len(pool) < 3:
         raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
-    for spec in pool:
-        validate_spec(spec)
+    built = [make_agent(spec) for spec in pool]
     labels = list(labels) if labels is not None else default_labels(pool)
     if len(labels) != len(pool):
         raise ValueError(f"got {len(labels)} labels for a pool of {len(pool)}")
     if len(set(labels)) != len(labels):
         raise ValueError("agent labels must be unique")
-    built = _built(pool, agents)
 
     grouping_results: list[GroupingResult] = []
     # Per-agent accumulators across all groupings.
@@ -355,8 +344,8 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         slot_totals = [0, 0, 0]
         sets = []
         for set_idx in range(config.matches_per_permutation):
-            dup = run_duplicate_set(triple, config, indices + (set_idx,),
-                                    agents=[built[i] for i in indices])
+            dup = _duplicate_set(triple, [built[i] for i in indices], config,
+                                 indices + (set_idx,))
             set_totals.append(dup.slot_totals)
             for slot in range(3):
                 slot_totals[slot] += dup.slot_totals[slot]
@@ -536,8 +525,7 @@ class VarianceStudy:
 
 
 def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
-                   replications: int,
-                   agents: Optional[Sequence[Agent]] = None) -> VarianceStudy:
+                   replications: int) -> VarianceStudy:
     """Estimate Var(per-hand payoff of triple[0]) under the duplicate
     protocol and under independent-card matches of equal total hand count.
 
@@ -546,29 +534,24 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     6 seatings but a fresh card sequence per match.  Both arms consume
     6 * hands_per_match hands per replication, and the studied statistic is
     the slot-0 agent's aggregate chips per hand.  The ratio is 1.0 when
-    both variances vanish.  agents, if given, are built from triple by
-    make_agent.
+    both variances vanish.  Each spec is built once by make_agent;
+    stateful agents are rebuilt for every match.
     """
     if replications < 30:
         raise ValueError(f"replications must be >= 30, got {replications}")
-    built = _built(triple, agents)
+    built = [make_agent(spec) for spec in triple]
     hands_per_rep = 6 * config.hands_per_match
     duplicate_samples = []
     independent_samples = []
     for r in range(replications):
-        dup = run_duplicate_set(triple, config, (_DOMAIN_STUDY_CARDS, r), agents=built)
+        dup = _duplicate_set(triple, built, config, (_DOMAIN_STUDY_CARDS, r))
         duplicate_samples.append(dup.slot_totals[0] / hands_per_rep)
 
-        total = 0
-        for p, perm in enumerate(PERMUTATIONS):
-            cards = deal_sequence(config.master_seed, (_DOMAIN_STUDY_INDEP_CARDS, r, p),
-                                  config.hands_per_match)
-            seed = np.random.SeedSequence(
-                config.master_seed, spawn_key=(_DOMAIN_STUDY_INDEP_DECISIONS, r, p))
-            specs, seated = _seat(triple, built, perm)
-            record = run_match(specs, cards, seed, agents=seated)
-            total += record.seat_totals[perm.index(0)]
-        independent_samples.append(total / hands_per_rep)
+        cards = [deal_sequence(config.master_seed, (_DOMAIN_STUDY_INDEP_CARDS, r, p),
+                               config.hands_per_match) for p in range(len(PERMUTATIONS))]
+        _, slot_totals = _play_seatings(triple, built, config.master_seed, cards,
+                                        (_DOMAIN_STUDY_INDEP_DECISIONS, r))
+        independent_samples.append(slot_totals[0] / hands_per_rep)
 
     var_dup = statistics.variance(duplicate_samples)
     var_ind = statistics.variance(independent_samples)

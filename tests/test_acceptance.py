@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from kuhn3p import agents, equilibrium, game, harness, strategy
-from kuhn3p.agents import AgentSpec
+from kuhn3p.agents import AgentSpec, make_agent
 
 MASTER_SEED = 20260815
 
@@ -137,7 +137,7 @@ def test_criterion_5_cfr_converges(capsys):
 
 
 def test_criterion_6_self_play_matches_exact_values(capsys):
-    specs = (AgentSpec("NashLB"),) * 3
+    lineup = [make_agent(AgentSpec("NashLB"))] * 3
     matches, hands = 1000, 3000
     exact = (F(-1, 48), F(-1, 48), F(1, 24))
     start = time.perf_counter()
@@ -146,7 +146,7 @@ def test_criterion_6_self_play_matches_exact_values(capsys):
     for m in range(matches):
         cards = harness.deal_sequence(MASTER_SEED, (0, m), hands)
         record = harness.run_match(
-            specs, cards, np.random.SeedSequence(MASTER_SEED, spawn_key=(1, m)))
+            lineup, cards, np.random.SeedSequence(MASTER_SEED, spawn_key=(1, m)))
         for s in range(3):
             totals[s] += record.seat_totals[s]
             match_means[s].append(record.seat_totals[s] / hands)

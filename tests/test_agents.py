@@ -202,6 +202,10 @@ def test_modeler_act_matches_string_expectimax():
 def test_modeler_rejects_bad_smoothing():
     with pytest.raises(ValueError):
         agents.FrequencyModeler(smoothing=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        agents.FrequencyModeler(smoothing=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        make_agent(AgentSpec("FrequencyModeler", {"smoothing": 1e400}))
 
 
 def test_make_agent_validation():
@@ -215,15 +219,12 @@ def test_make_agent_validation():
         make_agent(AgentSpec("FrequencyModeler", {"smoothing": -1}))
     with pytest.raises(ValueError, match="profile"):
         make_agent(AgentSpec("CFRTrained"))
-    with pytest.raises(ValueError, match="unreadable"):
+    with pytest.raises(ValueError, match="StrategyProfile"):
         make_agent(AgentSpec("CFRTrained", {"profile": "/nonexistent/path.txt"}))
 
 
-def test_cfr_trained_agent_loads_profile(tmp_path):
-    path = tmp_path / "profile.txt"
-    path.write_text(strategy.serialize_profile(strategy.nash_profile("LB")),
-                    encoding="utf-8")
-    agent = make_agent(AgentSpec("CFRTrained", {"profile": str(path)}))
+def test_cfr_trained_agent_loads_profile():
+    agent = make_agent(AgentSpec("CFRTrained", {"profile": strategy.nash_profile("LB")}))
     obs = Observation(3, "A", "KK", 0)
     assert agent.act(obs, FixedRng(0.999)) == "B"  # c41 = 1
 

@@ -13,10 +13,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 from kuhn3p import game, harness, strategy
-from kuhn3p.agents import AgentSpec, ProfileAgent
-
-# run_match only checks the length of specs when agents are passed.
-SPECS = (AgentSpec("UniformRandom"),) * 3
+from kuhn3p.agents import ProfileAgent
 
 
 class ReferenceProfileAgent(ProfileAgent):
@@ -63,9 +60,8 @@ def decisions_by_seat(record, seat):
 def test_batch_path_equals_scalar_reference(pool, seating, hands, seed):
     seating = tuple(i % len(pool) for i in seating)
     cards = harness.deal_sequence(seed, (0,), hands)
-    batch = harness.run_match(SPECS, cards, seed, agents=lineup(ProfileAgent, pool, seating))
-    scalar = harness.run_match(SPECS, cards, seed,
-                               agents=lineup(ReferenceProfileAgent, pool, seating))
+    batch = harness.run_match(lineup(ProfileAgent, pool, seating), cards, seed)
+    scalar = harness.run_match(lineup(ReferenceProfileAgent, pool, seating), cards, seed)
     assert batch == scalar
     assert harness.match_log(batch) == harness.match_log(scalar)
 
@@ -77,7 +73,7 @@ def test_plain_profile_lineup_never_calls_act(monkeypatch):
     monkeypatch.setattr(ProfileAgent, "act", refuse)
     pool = [strategy.nash_profile("LB"), strategy.nash_profile("UB")]
     cards = harness.deal_sequence(1, (0,), 200)
-    record = harness.run_match(SPECS, cards, 1, agents=lineup(ProfileAgent, pool, (0, 1, 0)))
+    record = harness.run_match(lineup(ProfileAgent, pool, (0, 1, 0)), cards, 1)
     assert len(record.hands) == 200
 
 
@@ -87,12 +83,12 @@ def test_subclass_overriding_act_is_asked_at_every_decision():
     # One overriding agent sends the whole lineup through the per-decision loop.
     agents = lineup(ProfileAgent, pool, (1, 0, 1))
     agents[1] = CountingProfileAgent(pool[0], "P0")
-    record = harness.run_match(SPECS, cards, 2, agents=agents)
+    record = harness.run_match(agents, cards, 2)
     assert agents[1].histories == decisions_by_seat(record, 2)
-    assert record == harness.run_match(SPECS, cards, 2, agents=lineup(ProfileAgent, pool, (1, 0, 1)))
+    assert record == harness.run_match(lineup(ProfileAgent, pool, (1, 0, 1)), cards, 2)
 
     agents = lineup(CountingProfileAgent, pool, (0, 1, 0))
-    record = harness.run_match(SPECS, cards, 2, agents=agents)
+    record = harness.run_match(agents, cards, 2)
     assert agents[0] is agents[2]
     assert len(agents[0].histories) == len(decisions_by_seat(record, 1)) \
         + len(decisions_by_seat(record, 3))

@@ -224,6 +224,10 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     {"agents": [{"kind": "NashLB", "king_bet": 0.5},
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
+    {"normalization_divisor": float("inf")},
+    {"agents": [{"kind": "FrequencyModeler", "parameters": {"smoothing": float("inf")}},
+                {"kind": "UniformRandom"},
+                {"kind": "AlwaysAggressive"}]},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {
@@ -294,6 +298,20 @@ def test_relative_cfr_profile_is_read_next_to_the_config(tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path / "elsewhere")
     code, _, stderr = run(capsys, argv)
     assert (code, stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--profile"), ("replay", "--log"),
+    ("tournament", "--config"), ("variance-study", "--config"),
+])
+def test_non_utf8_input_is_a_config_error(tmp_path, capsys, command, flag):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe")
+    extra = ["--out", str(tmp_path / "t")] if command == "tournament" else []
+    code, _, stderr = run(capsys, [command, flag, str(path), *extra])
+    assert code == 2
+    assert stderr.startswith(f"configuration error: cannot read {path}: ")
+    assert len(stderr.splitlines()) == 1
 
 
 def _edit_last_row(log, edit):

@@ -196,7 +196,7 @@ def test_tree_walks_match_oracle_and_enumeration(profile):
 def test_tree_walks_call_no_string_helpers(monkeypatch):
     cards = harness.deal_sequence(3, (0,), 200)
     specs = [AgentSpec("UniformRandom")] * 3
-    record = harness.run_match(specs, cards, 3, agents=[make_agent(spec) for spec in specs])
+    record = harness.run_match([make_agent(spec) for spec in specs], cards, 3)
     log = harness.match_log(record)
 
     def refuse(*args):

@@ -201,3 +201,23 @@ def test_every_decision_history_reachable_and_extendable():
         for token in (passive, aggressive):
             nxt = h + token
             assert game.is_terminal(nxt) or nxt in game.DECISION_HISTORIES
+
+
+def test_compiled_tables_match_string_api():
+    assert game.NODES == game.DECISION_HISTORIES + game.TERMINAL_HISTORIES
+    assert all(game.NODES[game.NODE_ID[h]] == h for h in game.ALL_HISTORIES)
+    keys = game.all_infoset_keys()
+    for n, h in enumerate(game.DECISION_HISTORIES):
+        seat = game.acting_seat(h)
+        assert game.DECISION_SEAT[n] == seat
+        assert game.DECISION_SITUATION[n] == game.situation_of(seat, h)
+        assert game.DECISION_SLOT[n] == sum(game.acting_seat(h[:j]) == seat for j in range(len(h)))
+        passive, aggressive = game.action_pair(h)
+        assert game.PASSIVE_CHILD[n] == game.NODE_ID[h + passive]
+        assert game.AGGRESSIVE_CHILD[n] == game.NODE_ID[h + aggressive]
+        for d, deal in enumerate(game.DEALS):
+            assert keys[game.INFOSET_INDEX[d, n]] == game.infoset_key(seat, deal[seat - 1], h)
+    for d, deal in enumerate(game.DEALS):
+        for n, h in enumerate(game.NODES):
+            expected = game.terminal_payoffs(deal, h) if game.is_terminal(h) else (0, 0, 0)
+            assert tuple(game.PAYOFFS[d, n]) == expected

@@ -16,6 +16,10 @@ TRIPLE = (AgentSpec("NashLB"), AgentSpec("UniformRandom"),
           AgentSpec("AlwaysAggressive"))
 
 
+def lineup(specs):
+    return [make_agent(spec) for spec in specs]
+
+
 def small_config(**overrides):
     base = dict(master_seed=11, hands_per_match=40, matches_per_permutation=2)
     base.update(overrides)
@@ -55,7 +59,7 @@ def test_deal_sequence_key_isolation():
 
 def test_run_match_zero_sum_every_hand():
     cards = harness.deal_sequence(3, (0,), 300)
-    record = harness.run_match(TRIPLE, cards, 3)
+    record = harness.run_match(lineup(TRIPLE), cards, 3)
     assert len(record.hands) == 300
     for hand in record.hands:
         assert sum(hand.payoffs) == 0
@@ -68,8 +72,8 @@ def test_run_match_zero_sum_every_hand():
 
 def test_run_match_is_deterministic():
     cards = harness.deal_sequence(9, (0,), 100)
-    a = harness.run_match(TRIPLE, cards, 17)
-    b = harness.run_match(TRIPLE, cards, 17)
+    a = harness.run_match(lineup(TRIPLE), cards, 17)
+    b = harness.run_match(lineup(TRIPLE), cards, 17)
     assert a.seat_totals == b.seat_totals
     assert [h.history for h in a.hands] == [h.history for h in b.hands]
 
@@ -83,10 +87,9 @@ class _IllegalAgent(Agent):
 
 def test_run_match_rejects_illegal_actions():
     cards = ["QKA"] * 5
-    specs = (AgentSpec("AlwaysAggressive"),) * 3
     agents = [_IllegalAgent(), _IllegalAgent(), _IllegalAgent()]
     with pytest.raises(RuntimeError, match="illegal action"):
-        harness.run_match(specs, cards, 0, agents=agents)
+        harness.run_match(agents, cards, 0)
 
 
 def test_duplicate_set_shares_cards_and_rotates_seats():
@@ -179,7 +182,7 @@ def test_tournament_rejects_small_pools_and_bad_labels():
 
 def test_match_log_round_trip():
     cards = harness.deal_sequence(21, (0,), 50)
-    record = harness.run_match(TRIPLE, cards, 21)
+    record = harness.run_match(lineup(TRIPLE), cards, 21)
     text = harness.match_log(record, header=["grouping 0-1-2", "set 0"])
     assert text.startswith("# grouping 0-1-2\n# set 0\n")
     assert "# seats: NashLB,UniformRandom,AlwaysAggressive" in text
@@ -189,7 +192,7 @@ def test_match_log_round_trip():
 
 def test_replay_detects_tampered_chips():
     cards = harness.deal_sequence(21, (0,), 5)
-    record = harness.run_match(TRIPLE, cards, 21)
+    record = harness.run_match(lineup(TRIPLE), cards, 21)
     text = harness.match_log(record)
     lines = text.splitlines()
     row = lines[-1].split(",")
