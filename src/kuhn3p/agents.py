@@ -23,7 +23,8 @@ import numpy as np
 
 from . import game
 from . import strategy
-from .game import Action, ActionHistory, Card, Seat
+from .game import (AGGRESSIVE_CHILD, DECISION_SEAT, DECISION_SITUATION, N_DECISIONS,
+                   PASSIVE_CHILD, Action, ActionHistory, Card, Seat)
 from .strategy import StrategyProfile
 
 
@@ -97,14 +98,6 @@ def _as_smoothing(value: object) -> float:
     return float(value)
 
 
-# Python-int copies of the compiled tree for the modeler's expectimax.
-_N_DECISIONS = len(game.DECISION_HISTORIES)
-_SEAT = game.DECISION_SEAT.tolist()
-_SITUATION = game.DECISION_SITUATION.tolist()
-_PASSIVE_CHILD = game.PASSIVE_CHILD.tolist()
-_AGGRESSIVE_CHILD = game.AGGRESSIVE_CHILD.tolist()
-
-
 def _terminal_means(seat: Seat, card: Card) -> list[float]:
     """Per node, seat's mean payoff over the six deals in which it holds
     card (0 at decision nodes).  Sums of six small integers are exact in
@@ -145,8 +138,8 @@ class FrequencyModeler(Agent):
         passive, aggressive = game.action_pair(obs.history)
         n = game.NODE_ID[obs.history]
         means = _TERMINAL_MEANS[obs.seat, obs.private_card]
-        v_passive = self._value(means, obs.seat, _PASSIVE_CHILD[n])
-        v_aggressive = self._value(means, obs.seat, _AGGRESSIVE_CHILD[n])
+        v_passive = self._value(means, obs.seat, PASSIVE_CHILD[n])
+        v_aggressive = self._value(means, obs.seat, AGGRESSIVE_CHILD[n])
         # Ties break passive, matching the best-response convention.
         return aggressive if v_aggressive > v_passive else passive
 
@@ -156,15 +149,15 @@ class FrequencyModeler(Agent):
         # and this agent playing greedily at its own future decision points.
         # Modeled frequencies do not depend on the deal, so branch weights
         # factor out of the posterior.
-        if n >= _N_DECISIONS:
+        if n >= N_DECISIONS:
             return means[n]
-        actor = _SEAT[n]
+        actor = DECISION_SEAT[n]
         if actor == seat:
-            return max(self._value(means, seat, _PASSIVE_CHILD[n]),
-                       self._value(means, seat, _AGGRESSIVE_CHILD[n]))
-        f = self.estimate(actor, _SITUATION[n])
-        return ((1.0 - f) * self._value(means, seat, _PASSIVE_CHILD[n])
-                + f * self._value(means, seat, _AGGRESSIVE_CHILD[n]))
+            return max(self._value(means, seat, PASSIVE_CHILD[n]),
+                       self._value(means, seat, AGGRESSIVE_CHILD[n]))
+        f = self.estimate(actor, DECISION_SITUATION[n])
+        return ((1.0 - f) * self._value(means, seat, PASSIVE_CHILD[n])
+                + f * self._value(means, seat, AGGRESSIVE_CHILD[n]))
 
     def observe_result(self, revealed: Mapping[Seat, Card],
                        history: ActionHistory,
@@ -178,11 +171,11 @@ class FrequencyModeler(Agent):
         n = 0
         for token in history:
             aggressive = token in (game.BET, game.CALL)
-            actor = _SEAT[n]
+            actor = DECISION_SEAT[n]
             if actor != self._seat:
-                counts = self._counts.setdefault((actor, _SITUATION[n]), [0, 0])
+                counts = self._counts.setdefault((actor, DECISION_SITUATION[n]), [0, 0])
                 counts[aggressive] += 1
-            n = _AGGRESSIVE_CHILD[n] if aggressive else _PASSIVE_CHILD[n]
+            n = AGGRESSIVE_CHILD[n] if aggressive else PASSIVE_CHILD[n]
 
 
 AGENT_KINDS = (

@@ -80,8 +80,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _checkpoints(iterations: int) -> list[int]:
-    points = sorted({10 ** k for k in range(2, 12) if 10 ** k < iterations} | {iterations})
-    return points
+    return sorted({10 ** k for k in range(2, 12) if 10 ** k < iterations} | {iterations})
 
 
 def cmd_train_cfr(args: argparse.Namespace) -> int:

@@ -35,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import game
-from .game import CARDS, CARD_INDEX, DEALS, SEATS, InfoSetKey
+from .game import (AGGRESSIVE_CHILD, CARDS, CARD_INDEX, DEALS, DECISION_SEAT, DECISION_SITUATION,
+                   N_DECISIONS, PASSIVE_CHILD, SEATS, InfoSetKey)
 from .strategy import StrategyProfile
 
 ValueVector = tuple[Fraction, Fraction, Fraction]
@@ -43,14 +44,8 @@ ValueVector = tuple[Fraction, Fraction, Fraction]
 _CHANCE = Fraction(1, len(DEALS))
 _ZERO = Fraction(0)
 
-_N_DECISIONS = len(game.DECISION_HISTORIES)
 _N_NODES = len(game.NODES)
-# Python-int copies of the compiled tree: numpy integers do not combine
-# exactly with Fraction.
-_SEAT = game.DECISION_SEAT.tolist()
-_SITUATION = game.DECISION_SITUATION.tolist()
-_PASSIVE_CHILD = game.PASSIVE_CHILD.tolist()
-_AGGRESSIVE_CHILD = game.AGGRESSIVE_CHILD.tolist()
+# Python ints: numpy integers do not combine exactly with Fraction.
 _INFOSET = game.INFOSET_INDEX.tolist()
 _PAYOFFS = game.PAYOFFS.tolist()
 
@@ -59,10 +54,10 @@ def _terminal_paths() -> list[tuple[tuple[int, bool], ...]]:
     """For each terminal in node order, the (decision node, aggressive?)
     pairs on its path from the root."""
     paths: list[tuple[tuple[int, bool], ...]] = [()] * _N_NODES
-    for n in range(_N_DECISIONS):
-        paths[_PASSIVE_CHILD[n]] = paths[n] + ((n, False),)
-        paths[_AGGRESSIVE_CHILD[n]] = paths[n] + ((n, True),)
-    return paths[_N_DECISIONS:]
+    for n in range(N_DECISIONS):
+        paths[PASSIVE_CHILD[n]] = paths[n] + ((n, False),)
+        paths[AGGRESSIVE_CHILD[n]] = paths[n] + ((n, True),)
+    return paths[N_DECISIONS:]
 
 
 _TERMINAL_PATHS = _terminal_paths()
@@ -83,14 +78,14 @@ def _reaches(probabilities: list[tuple[Fraction, Fraction]], deal: int,
     certain."""
     reach = [_CHANCE] + [_ZERO] * (_N_NODES - 1)
     infosets = _INFOSET[deal]
-    for n in range(_N_DECISIONS):
+    for n in range(N_DECISIONS):
         r = reach[n]
-        if _SEAT[n] == skip:
-            reach[_PASSIVE_CHILD[n]] = reach[_AGGRESSIVE_CHILD[n]] = r
+        if DECISION_SEAT[n] == skip:
+            reach[PASSIVE_CHILD[n]] = reach[AGGRESSIVE_CHILD[n]] = r
         else:
             passive, aggressive = probabilities[infosets[n]]
-            reach[_PASSIVE_CHILD[n]] = r * passive
-            reach[_AGGRESSIVE_CHILD[n]] = r * aggressive
+            reach[PASSIVE_CHILD[n]] = r * passive
+            reach[AGGRESSIVE_CHILD[n]] = r * aggressive
     return reach
 
 
@@ -101,7 +96,7 @@ def expected_values(profile: StrategyProfile) -> ValueVector:
     totals = [_ZERO, _ZERO, _ZERO]
     for deal, payoffs in enumerate(_PAYOFFS):
         reach = _reaches(probabilities, deal)
-        for n in range(_N_DECISIONS, _N_NODES):
+        for n in range(N_DECISIONS, _N_NODES):
             if reach[n]:
                 for i in range(3):
                     totals[i] += reach[n] * payoffs[n][i]
@@ -148,16 +143,16 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     for card in CARDS:
         deals = [d for d, cards in enumerate(DEALS) if cards[seat - 1] == card]
         value = [_ZERO] * _N_NODES
-        for n in range(_N_DECISIONS, _N_NODES):
+        for n in range(N_DECISIONS, _N_NODES):
             value[n] = sum((reaches[d][n] * _PAYOFFS[d][n][seat - 1]
                             for d in deals if reaches[d][n]), _ZERO)
-        for n in reversed(range(_N_DECISIONS)):
-            v_passive = value[_PASSIVE_CHILD[n]]
-            v_aggressive = value[_AGGRESSIVE_CHILD[n]]
-            if _SEAT[n] != seat:
+        for n in reversed(range(N_DECISIONS)):
+            v_passive = value[PASSIVE_CHILD[n]]
+            v_aggressive = value[AGGRESSIVE_CHILD[n]]
+            if DECISION_SEAT[n] != seat:
                 value[n] = v_passive + v_aggressive
                 continue
-            key = InfoSetKey(seat, card, _SITUATION[n])
+            key = InfoSetKey(seat, card, DECISION_SITUATION[n])
             if any(reaches[d][n] for d in deals):
                 infoset_values[key] = (v_passive, v_aggressive)
             take_aggressive = v_aggressive > v_passive
@@ -183,8 +178,8 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
     # terminal t.
     masks = [
         [m for m in range(16)
-         if all(bool(m >> (_SITUATION[n] - 1) & 1) == aggressive
-                for n, aggressive in path if _SEAT[n] == seat)]
+         if all(bool(m >> (DECISION_SITUATION[n] - 1) & 1) == aggressive
+                for n, aggressive in path if DECISION_SEAT[n] == seat)]
         for path in _TERMINAL_PATHS
     ]
     # tables[c][m] = value of playing 4-bit sub-strategy m when holding
@@ -194,7 +189,7 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
     for deal, cards in enumerate(DEALS):
         table = tables[CARD_INDEX[cards[seat - 1]] - 1]
         reach = _reaches(probabilities, deal, skip=seat)
-        for n, compatible in enumerate(masks, start=_N_DECISIONS):
+        for n, compatible in enumerate(masks, start=N_DECISIONS):
             weight = reach[n] * _PAYOFFS[deal][n][seat - 1]
             if weight == 0:
                 continue
@@ -305,13 +300,14 @@ _N_KEYS = len(game.all_infoset_keys())
 _PASSIVE, _AGGRESSIVE = 0, 1  # action columns of the CFR arrays
 _N_DEALS = len(DEALS)
 _CHANCE_F = 1.0 / _N_DEALS
-_DECISIONS = np.arange(_N_DECISIONS)
-_ACTOR = game.DECISION_SEAT - 1
-_CHILDREN = list(zip(_PASSIVE_CHILD, _AGGRESSIVE_CHILD))
+_DECISIONS = np.arange(N_DECISIONS)
+_ACTOR = np.array(DECISION_SEAT) - 1
+_CHILDREN = list(zip(PASSIVE_CHILD, AGGRESSIVE_CHILD))
+_CHILD_NODES = np.array([PASSIVE_CHILD, AGGRESSIVE_CHILD])  # (action, decision node)
 #: (decision node, deal) -> infoset index.
 _NODE_INFOSETS = game.INFOSET_INDEX.T
 #: (terminal, deal, seat - 1) -> net chips.
-_TERMINAL_PAYOFFS = game.PAYOFFS[:, _N_DECISIONS:].transpose(1, 0, 2).astype(np.float64)
+_TERMINAL_PAYOFFS = game.PAYOFFS[:, N_DECISIONS:].transpose(1, 0, 2).astype(np.float64)
 
 
 class CfrTrainer:
@@ -352,14 +348,14 @@ class CfrTrainer:
         # probability of reaching the node, parents first.
         reach = np.empty((_N_NODES, 3, _N_DEALS))
         reach[0] = 1.0
-        for n, actor in enumerate(_SEAT):
+        for n, actor in enumerate(DECISION_SEAT):
             for child, weight in zip(_CHILDREN[n], probability[:, n]):
                 reach[child] = reach[n]
                 reach[child, actor - 1] *= weight
         # value[node, deal, seat - 1]: expected chips, children first.
         value = np.empty((_N_NODES, _N_DEALS, 3))
-        value[_N_DECISIONS:] = _TERMINAL_PAYOFFS
-        for n in reversed(range(_N_DECISIONS)):
+        value[N_DECISIONS:] = _TERMINAL_PAYOFFS
+        for n in reversed(range(N_DECISIONS)):
             passive, aggressive = _CHILDREN[n]
             value[n] = (probability[_PASSIVE, n, :, None] * value[passive]
                         + probability[_AGGRESSIVE, n, :, None] * value[aggressive])
@@ -371,7 +367,7 @@ class CfrTrainer:
         counterfactual = (_CHANCE_F * reach[_DECISIONS, _ACTOR - 1]
                           * reach[_DECISIONS, _ACTOR - 2])
         own = _CHANCE_F * reach[_DECISIONS, _ACTOR]
-        for action, child in enumerate((game.PASSIVE_CHILD, game.AGGRESSIVE_CHILD)):
+        for action, child in enumerate(_CHILD_NODES):
             np.add.at(self.cumulative_regret[:, action], _NODE_INFOSETS,
                       counterfactual * (value[child, :, _ACTOR] - actor_value))
             np.add.at(self.cumulative_strategy[:, action], _NODE_INFOSETS,

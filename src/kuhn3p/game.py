@@ -16,11 +16,11 @@ among the non-folded seats wins the showdown.
 
 Histories and deals are plain strings ("KKBFC", "QKA") so they serialize
 as themselves; the string functions below are the public rules API that
-agents, logs and the per-decision match loop use. The same tree is also
-compiled to integer node ids and numpy tables (end of module). Batch
-match play, exact verification, CFR, the opponent modeler and log replay
-read only those tables, so this module is the only one that knows the
-tree's shape.
+agents see. The same tree is also compiled to integer node ids and
+tables, and a finished hand to one outcome index (end of module). Match
+play, match logs and their replay, exact verification, CFR and the
+opponent modeler walk those tables, so this module is the only one that
+knows the tree's shape.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def terminal_payoffs(deal: str, history: str) -> tuple[int, int, int]:
     )
 
 
-# deal string -> history -> payoff triple, for the simulation hot path.
+# deal string -> history -> payoff triple, as shown to observing agents.
 PAYOFF_TABLE = {
     deal: {h: terminal_payoffs(deal, h) for h in TERMINAL_HISTORIES}
     for deal in DEALS
@@ -230,12 +230,13 @@ PAYOFF_TABLE = {
 # --- Compiled tree ----------------------------------------------------------
 # The same 25 histories as integer node ids: the 12 decision histories in
 # DECISION_HISTORIES order (every parent before its children), then the 13
-# terminals in TERMINAL_HISTORIES order.  Rows of the DECISION_* tables
-# are indexed by decision node id.
+# terminals in TERMINAL_HISTORIES order.  The DECISION_* and *_CHILD
+# tables are indexed by decision node id.
 
 NODES = DECISION_HISTORIES + TERMINAL_HISTORIES
 NODE_ID = {h: i for i, h in enumerate(NODES)}
-DEAL_INDEX = {deal: i for i, deal in enumerate(DEALS)}
+N_DECISIONS = len(DECISION_HISTORIES)
+N_TERMINALS = len(TERMINAL_HISTORIES)
 _KEY_INDEX = {key: i for i, key in enumerate(all_infoset_keys())}
 
 
@@ -246,24 +247,34 @@ def _decision_slot(history: str) -> int:
     return sum(_DECISION_POINTS[history[:j]][0] == seat for j in range(len(history)))
 
 
-#: Acting seat (1-3), its betting situation (1-4) and its decision slot
-#: (0 or 1).
-DECISION_SEAT = np.array([_DECISION_POINTS[h][0] for h in DECISION_HISTORIES], dtype=np.intp)
-DECISION_SITUATION = np.array([_DECISION_POINTS[h][1] for h in DECISION_HISTORIES],
-                              dtype=np.intp)
-DECISION_SLOT = np.array([_decision_slot(h) for h in DECISION_HISTORIES], dtype=np.intp)
-#: Node ids reached by the passive (K or F) and aggressive (B or C) action.
-PASSIVE_CHILD = np.array([NODE_ID[h + action_pair(h)[0]] for h in DECISION_HISTORIES], dtype=np.intp)
-AGGRESSIVE_CHILD = np.array([NODE_ID[h + action_pair(h)[1]] for h in DECISION_HISTORIES],
-                            dtype=np.intp)
+#: (passive, aggressive) actions at each decision node.
+DECISION_ACTIONS = tuple(action_pair(h) for h in DECISION_HISTORIES)
+#: Per decision node: acting seat (1-3), betting situation (1-4), decision
+#: slot (0 or 1), and the node ids after the passive (K or F) and the
+#: aggressive (B or C) action.  Python ints, which walks that visit one
+#: node at a time index fast and combine exactly with Fraction.
+DECISION_SEAT = tuple(_DECISION_POINTS[h][0] for h in DECISION_HISTORIES)
+DECISION_SITUATION = tuple(_DECISION_POINTS[h][1] for h in DECISION_HISTORIES)
+DECISION_SLOT = tuple(_decision_slot(h) for h in DECISION_HISTORIES)
+PASSIVE_CHILD = tuple(NODE_ID[h + p] for h, (p, _) in zip(DECISION_HISTORIES, DECISION_ACTIONS))
+AGGRESSIVE_CHILD = tuple(NODE_ID[h + a] for h, (_, a) in zip(DECISION_HISTORIES, DECISION_ACTIONS))
 #: (deal, decision node) -> index in all_infoset_keys() of the acting
 #: seat's information set.
 INFOSET_INDEX = np.array([
     [_KEY_INDEX[infoset_key(seat, deal[seat - 1], h)]
-     for h, seat in zip(DECISION_HISTORIES, DECISION_SEAT.tolist())]
+     for h, seat in zip(DECISION_HISTORIES, DECISION_SEAT)]
     for deal in DEALS
 ], dtype=np.intp)
 #: (deal, node, seat - 1) -> net chips; zero at decision nodes.
 PAYOFFS = np.array([
     [PAYOFF_TABLE[deal].get(h, (0, 0, 0)) for h in NODES] for deal in DEALS
 ], dtype=np.int64)
+
+# --- Outcomes ---------------------------------------------------------------
+# A finished hand is one outcome o = deal index * 13 + terminal index
+# (0-311), decoded with divmod(o, 13).  A hand dealt d that ends at
+# terminal node n is outcome d * N_TERMINALS + n - N_DECISIONS.
+#: (deal, terminal history) of each outcome.
+OUTCOMES = tuple(itertools.product(DEALS, TERMINAL_HISTORIES))
+#: outcome -> net chips per seat: PAYOFFS at the terminal nodes.
+OUTCOME_PAYOFFS = PAYOFFS[:, N_DECISIONS:].reshape(-1, NUM_SEATS)

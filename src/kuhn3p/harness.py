@@ -17,19 +17,20 @@ and adding groupings to a tournament never perturbs existing ones.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import game
 from .agents import Agent, AgentSpec, Observation, ProfileAgent, make_agent
+from .game import (AGGRESSIVE_CHILD, DECISION_ACTIONS, DECISION_SEAT, DECISION_SLOT, N_DECISIONS,
+                   NODES, PASSIVE_CHILD)
 
 # Seat permutations in a fixed order: permutation p assigns triple slot
 # PERMUTATIONS[p][s-1] to seat s.
@@ -66,26 +67,15 @@ class MatchConfig:
                 f"normalization_divisor must be finite and > 0, got {self.normalization_divisor}")
 
 
-class HandRecord(NamedTuple):
-    """One completed hand: cards by seat, the action string, net chips."""
-
-    index: int
-    deal: str
-    history: str
-    payoffs: tuple[int, int, int]
-
-
-# HandRecord._make without its per-call length check, for building many at once.
-_new_hand = functools.partial(tuple.__new__, HandRecord)
-
-
 @dataclass
 class MatchRecord:
-    """One match: per-seat agent names, totals, and the full hand log."""
+    """One match: per-seat agent names, totals, and every hand's outcome in
+    play order (an index of game.OUTCOMES; divmod(o, 13) gives the indices
+    of its deal in game.DEALS and its terminal in game.TERMINAL_HISTORIES)."""
 
     agent_names: tuple[str, str, str]
     seat_totals: tuple[int, int, int]
-    hands: list[HandRecord]
+    hands: list[int]
 
 
 @dataclass
@@ -93,19 +83,16 @@ class DuplicateSet:
     """Six matches, one per seating permutation, sharing one card sequence."""
 
     agent_names: tuple[str, str, str]
-    card_sequence: list[str]
+    card_sequence: np.ndarray  # deal indices, as drawn by deal_sequence
     matches: list[MatchRecord]
     slot_totals: tuple[int, int, int]  # aggregated per triple slot, not per seat
 
 
-def _generator(master_seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key)))
-
-
-def deal_sequence(master_seed: int, key: Sequence[int], hands: int) -> list[str]:
-    """Uniform i.i.d. deals from the 24 card arrangements, keyed by (master, key)."""
-    gen = _generator(master_seed, *key)
-    return [game.DEALS[i] for i in gen.integers(0, len(game.DEALS), size=hands)]
+def deal_sequence(master_seed: int, key: Sequence[int], hands: int) -> np.ndarray:
+    """Uniform i.i.d. deals, keyed by (master, key), as indices into the
+    24 card arrangements of game.DEALS."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
+    return np.random.Generator(np.random.Philox(seq)).integers(0, len(game.DEALS), size=hands)
 
 
 class _SlotRng:
@@ -124,9 +111,25 @@ class _SlotRng:
         return self.value
 
 
-def run_match(agents: Sequence[Agent], cards: Sequence[str],
+def _deal_indices(deals: Sequence[int]) -> np.ndarray:
+    """deals as an index array; ValueError names the first hand whose deal
+    is not an integer index of game.DEALS."""
+    array = np.asarray(deals)
+    if array.dtype.kind in "iu":
+        valid = (0 <= array) & (array < len(game.DEALS))
+    else:  # an empty list, or some deal that is no integer
+        valid = np.array([isinstance(deal, (int, np.integer)) and 0 <= deal < len(game.DEALS)
+                          for deal in deals], dtype=bool)
+    if not valid.all():
+        first = int(np.argmin(valid))
+        raise ValueError(f"hand {first}: deal {array[first].item()!r} is not a game.DEALS index")
+    return array.astype(np.intp, copy=False)
+
+
+def run_match(agents: Sequence[Agent], deals: Sequence[int],
               seed: int | np.random.SeedSequence) -> MatchRecord:
-    """Play one match: agents[s-1] occupies seat s for every hand of cards.
+    """Play one match: agents[s-1] occupies seat s for every hand, one hand
+    per deal index (into game.DEALS) of deals.
 
     Decision uniforms are drawn up front as an array indexed by
     (hand, seat, nth decision of that seat), making every decision's
@@ -135,81 +138,77 @@ def run_match(agents: Sequence[Agent], cards: Sequence[str],
 
     A lineup of three plain ProfileAgents plays every hand at once on the
     compiled tree (`_play_profiles`); any other lineup, subclasses
-    included, takes the per-decision loop below.  Both give identical
-    records for the same inputs.
+    included, takes the per-decision loop (`_play_each`).  Both give
+    identical records for the same inputs.  Raises ValueError, before
+    any hand is played, for a deal that is not an index of game.DEALS.
     """
     if len(agents) != 3:
         raise ValueError(f"a match needs exactly 3 agents, got {len(agents)}")
+    deals = _deal_indices(deals)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     gen = np.random.Generator(np.random.Philox(seq))
     # Seats 1 and 2 act at most twice per hand, seat 3 at most once.
-    uniforms = gen.random((len(cards), 3, 2))
-    if all(type(agent) is ProfileAgent for agent in agents):
-        return _play_profiles(agents, cards, uniforms)
+    uniforms = gen.random((len(deals), 3, 2))
+    play = _play_profiles if all(type(agent) is ProfileAgent for agent in agents) else _play_each
+    node = play(agents, deals, uniforms)
+    hands = deals * game.N_TERMINALS + node - N_DECISIONS
+    totals = tuple(int(total) for total in game.OUTCOME_PAYOFFS[hands].sum(axis=0))
+    return MatchRecord(tuple(agent.name for agent in agents), totals, hands.tolist())
 
+
+def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The per-decision match loop: every hand walks the tree from the root,
+    asking the acting agent at each decision node; returns each hand's
+    terminal node id."""
     observers = [a for a in agents if type(a).observe_result is not Agent.observe_result]
-    acting = game.acting_seat
-    action_pair = game.action_pair
-    payoff_table = game.PAYOFF_TABLE
     rng = _SlotRng()
-
-    totals = [0, 0, 0]
-    hands: list[HandRecord] = []
-    for index, deal in enumerate(cards):
+    terminals = []
+    for index, deal in enumerate(game.DEALS[d] for d in deals.tolist()):
         row = uniforms[index]
-        taken = [0, 0, 0]
-        h = ""
-        payoffs_by_history = payoff_table[deal]
-        while h not in payoffs_by_history:
-            seat = acting(h)
-            i = seat - 1
-            rng.value = row[i, taken[i]]
-            taken[i] += 1
-            obs = Observation(seat, deal[i], h, index)
-            action = agents[i].act(obs, rng)
-            if action not in action_pair(h):
+        n = 0
+        while n < N_DECISIONS:
+            i = DECISION_SEAT[n] - 1
+            rng.value = row[i, DECISION_SLOT[n]]
+            h = NODES[n]
+            action = agents[i].act(Observation(i + 1, deal[i], h, index), rng)
+            passive, aggressive = DECISION_ACTIONS[n]
+            if action == passive:
+                n = PASSIVE_CHILD[n]
+            elif action == aggressive:
+                n = AGGRESSIVE_CHILD[n]
+            else:
                 raise RuntimeError(
                     f"agent {agents[i].name!r} returned illegal action {action!r} "
                     f"at history {h!r} in hand {index}")
-            h += action
-        payoffs = payoffs_by_history[h]
-        totals[0] += payoffs[0]
-        totals[1] += payoffs[1]
-        totals[2] += payoffs[2]
-        hands.append(HandRecord(index, deal, h, payoffs))
+        terminals.append(n)
         if observers:
+            h = NODES[n]
             revealed = {s: deal[s - 1] for s in game.showdown_seats(h)}
             for agent in observers:
-                agent.observe_result(revealed, h, payoffs)
-    names = tuple(agent.name for agent in agents)
-    return MatchRecord(names, (totals[0], totals[1], totals[2]), hands)
+                agent.observe_result(revealed, h, game.PAYOFF_TABLE[deal][h])
+    return np.array(terminals, dtype=np.intp)
 
 
-def _play_profiles(agents: Sequence[ProfileAgent], cards: Sequence[str],
-                   uniforms: np.ndarray) -> MatchRecord:
+def _play_profiles(agents: Sequence[ProfileAgent], deals: np.ndarray,
+                   uniforms: np.ndarray) -> np.ndarray:
     """The match loop for three stateless ProfileAgents, over every hand at
     once: each decision node in parent-before-child order moves the hands
     standing on it to a child, making the same `uniform < probability`
-    comparison as ProfileAgent.act with the same pre-drawn uniform."""
-    deals = np.array([game.DEAL_INDEX[deal] for deal in cards], dtype=np.intp)
+    comparison as ProfileAgent.act with the same pre-drawn uniform.
+    Returns each hand's terminal node id."""
     probabilities = np.stack([agent.probabilities for agent in agents])
-    node = np.zeros(len(cards), dtype=np.intp)  # every hand starts at the root
-    for n in range(len(game.DECISION_HISTORIES)):
+    node = np.zeros(len(deals), dtype=np.intp)  # every hand starts at the root
+    for n in range(N_DECISIONS):
         here = np.flatnonzero(node == n)
-        i = game.DECISION_SEAT[n] - 1
-        aggressive = (uniforms[here, i, game.DECISION_SLOT[n]]
+        i = DECISION_SEAT[n] - 1
+        aggressive = (uniforms[here, i, DECISION_SLOT[n]]
                       < probabilities[i, game.INFOSET_INDEX[deals[here], n]])
-        node[here] = np.where(aggressive, game.AGGRESSIVE_CHILD[n], game.PASSIVE_CHILD[n])
-    histories = [game.NODES[n] for n in node.tolist()]
-    # Hands share the payoff tuples of PAYOFF_TABLE, as the scalar loop's do.
-    payoffs = [game.PAYOFF_TABLE[deal][h] for deal, h in zip(cards, histories)]
-    hands = list(map(_new_hand, zip(range(len(cards)), cards, histories, payoffs)))
-    totals = tuple(int(total) for total in game.PAYOFFS[deals, node].sum(axis=0))
-    return MatchRecord(tuple(agent.name for agent in agents), totals, hands)
+        node[here] = np.where(aggressive, AGGRESSIVE_CHILD[n], PASSIVE_CHILD[n])
+    return node
 
 
 def _play_seatings(triple: Sequence[AgentSpec], built: Sequence[Agent], master_seed: int,
-                   cards: Sequence[Sequence[str]],
+                   cards: Sequence[np.ndarray],
                    decision_key: tuple[int, ...]) -> tuple[list[MatchRecord], tuple[int, int, int]]:
     """The six matches of a triple, one per seating permutation, and their
     chips per triple slot.  Permutation p plays cards[p] with decisions
@@ -294,19 +293,11 @@ class TournamentReport:
 
 
 def default_labels(specs: Sequence[AgentSpec]) -> list[str]:
-    """Stable display labels: the kind, suffixed when the pool repeats it."""
-    labels = []
-    seen: dict[str, int] = {}
-    for spec in specs:
-        seen[spec.kind] = seen.get(spec.kind, 0) + 1
-    counters: dict[str, int] = {}
-    for spec in specs:
-        if seen[spec.kind] == 1:
-            labels.append(spec.kind)
-        else:
-            counters[spec.kind] = counters.get(spec.kind, 0) + 1
-            labels.append(f"{spec.kind}#{counters[spec.kind]}")
-    return labels
+    """Stable display labels: the kind, suffixed #1, #2, ... when the pool
+    repeats it."""
+    kinds = [spec.kind for spec in specs]
+    return [kind if kinds.count(kind) == 1 else f"{kind}#{kinds[:i + 1].count(kind)}"
+            for i, kind in enumerate(kinds)]
 
 
 def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
@@ -333,10 +324,10 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     grouping_results: list[GroupingResult] = []
     # Per-agent accumulators across all groupings.
     totals = [0] * len(pool)
-    hands_played = [0] * len(pool)
-    grouping_counts = [0] * len(pool)
     set_means: list[list[float]] = [[] for _ in pool]  # per-set chips/hand samples
     hands_per_set = 6 * config.hands_per_match
+    groupings = math.comb(len(pool) - 1, 2)  # the same for every agent
+    hands_played = groupings * config.matches_per_permutation * hands_per_set
 
     for indices in itertools.combinations(range(len(pool)), 3):
         triple = [pool[i] for i in indices]
@@ -356,8 +347,6 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
             sets.append(dup)
         for slot in range(3):
             totals[indices[slot]] += slot_totals[slot]
-            hands_played[indices[slot]] += hands_per_set * config.matches_per_permutation
-            grouping_counts[indices[slot]] += 1
         grouping_results.append(GroupingResult(
             indices, tuple(labels[i] for i in indices), set_totals, tuple(slot_totals), sets))
 
@@ -368,13 +357,12 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
             std_error = statistics.stdev(samples) / math.sqrt(len(samples))
         else:
             std_error = 0.0
-        chips_per_hand = totals[i] / hands_played[i] if hands_played[i] else 0.0
         agents.append(AgentResult(
             label=label,
-            groupings=grouping_counts[i],
-            hands=hands_played[i],
+            groupings=groupings,
+            hands=hands_played,
             total_chips=totals[i],
-            chips_per_hand=chips_per_hand,
+            chips_per_hand=totals[i] / hands_played,
             normalized_total=totals[i] / config.normalization_divisor,
             std_error=std_error,
         ))
@@ -440,48 +428,33 @@ def report_json(report: TournamentReport) -> str:
 
 LOG_COLUMNS = ("hand", "card1", "card2", "card3", "actions", "chips1", "chips2", "chips3")
 
+#: Each outcome's log row after the hand index: cards, actions, chips.
+_ROW_TAILS = [f"{','.join(deal)},{history},{chips[0]},{chips[1]},{chips[2]}"
+              for (deal, history), chips in zip(game.OUTCOMES, game.OUTCOME_PAYOFFS.tolist())]
+_TAIL_OUTCOME = {tail: o for o, tail in enumerate(_ROW_TAILS)}
+
 
 def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     """Serialize a match to text: comment header, then one CSV row per hand
-    (index, per-seat cards, action string, per-seat net chips)."""
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write(f"# seats: {','.join(record.agent_names)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LOG_COLUMNS)
-    for hand in record.hands:
-        writer.writerow([hand.index, *hand.deal, hand.history, *hand.payoffs])
-    return out.getvalue()
+    (index, per-seat cards, action string, per-seat net chips), each
+    hand's row text looked up from its outcome."""
+    lines = [f"# {line}\n" for line in header]
+    lines.append(f"# seats: {','.join(record.agent_names)}\n{','.join(LOG_COLUMNS)}\n")
+    lines.extend([f"{i},{_ROW_TAILS[o]}\n" for i, o in enumerate(record.hands)])
+    return "".join(lines)
 
 
 class ReplayError(ValueError):
     """A match log disagrees with the rules engine."""
 
 
-def replay_match_log(text: str) -> tuple[int, int, int]:
-    """Look up every hand's payoffs from its cards and action string in the
-    rules engine's payoff table and check them against the logged chips;
-    returns the per-seat totals.
-
-    Raises ReplayError naming the hand and the field for a log that lacks
-    the '# seats:' line naming three agents, a row without exactly one
-    value per column, an invalid deal, an action string that does not end
-    the hand, a chip count that is not an integer, or chips that disagree
-    with the rules."""
-    lines = text.splitlines()
-    seats = [line[len("# seats:"):].strip().split(",")
-             for line in lines if line.startswith("# seats:")]
-    if len(seats) != 1 or len(seats[0]) != 3 or not all(seats[0]):
-        raise ReplayError("log has no '# seats:' line naming three agents")
-    rows = [line for line in lines if line and not line.startswith("#")]
-    if not rows:
-        raise ReplayError("log contains no hands")
+def _checked_outcomes(rows: list[str]) -> list[int]:
+    """The outcome of every hand row, checked field by field."""
     reader = csv.reader(io.StringIO("\n".join(rows)))
     header = next(reader)
     if tuple(header) != LOG_COLUMNS:
         raise ReplayError(f"unrecognized log header: {header!r}")
-    totals = [0, 0, 0]
+    outcomes = []
     for row in reader:
         index = row[0]
         if len(row) != len(LOG_COLUMNS):
@@ -489,8 +462,8 @@ def replay_match_log(text: str) -> tuple[int, int, int]:
         deal = row[1] + row[2] + row[3]
         actions = row[4]
         try:
-            derived = game.PAYOFF_TABLE[deal][actions]
-        except KeyError:
+            o = game.DEALS.index(deal) * game.N_TERMINALS + game.TERMINAL_HISTORIES.index(actions)
+        except ValueError:
             problem = (f"invalid deal {deal!r}" if deal not in game.PAYOFF_TABLE
                        else f"history {actions!r} is not terminal")
             raise ReplayError(f"hand {index}: {problem}") from None
@@ -500,12 +473,39 @@ def replay_match_log(text: str) -> tuple[int, int, int]:
             column, chips = next((column, chips) for column, chips in zip(LOG_COLUMNS[5:], row[5:])
                                  if not chips.removeprefix("-").isdecimal())
             raise ReplayError(f"hand {index}: {column} is not an integer: {chips!r}") from None
-        if logged != derived:
-            raise ReplayError(
-                f"hand {index}: logged chips {logged} disagree with derived {derived}")
-        for s in range(3):
-            totals[s] += derived[s]
-    return (totals[0], totals[1], totals[2])
+        for column, expected, found in zip(LOG_COLUMNS[5:], game.OUTCOME_PAYOFFS[o].tolist(), logged):
+            if found != expected:
+                raise ReplayError(f"hand {index}: {column} expected {expected}, found {found}")
+        outcomes.append(o)
+    return outcomes
+
+
+def replay_match_log(text: str) -> tuple[int, int, int]:
+    """Look up every hand's payoffs from its cards and action string in the
+    rules engine's payoff table and check them against the logged chips;
+    returns the per-seat totals.  Rows are looked up whole among the 312
+    that match_log writes; a log with any other row, or with a quote (csv
+    reads a quoted field across lines), is checked field by field.
+
+    Raises ReplayError naming the hand and the field for a log that lacks
+    the '# seats:' line naming three agents, a row without exactly one
+    value per column, an invalid deal, an action string that does not end
+    the hand, a chip count that is not an integer, or chips that disagree
+    with the rules ("hand 29: chips2 expected 2, found 1")."""
+    lines = text.splitlines()
+    seats = [line[len("# seats:"):].strip().split(",")
+             for line in lines if line.startswith("# seats:")]
+    if len(seats) != 1 or len(seats[0]) != 3 or not all(seats[0]):
+        raise ReplayError("log has no '# seats:' line naming three agents")
+    rows = [line for line in lines if line and not line.startswith("#")]
+    if not rows:
+        raise ReplayError("log contains no hands")
+    outcomes = None
+    if '"' not in text and rows[0] == ",".join(LOG_COLUMNS):
+        outcomes = [_TAIL_OUTCOME.get(row.partition(",")[2]) for row in rows[1:]]
+    if outcomes is None or None in outcomes:
+        outcomes = _checked_outcomes(rows)
+    return tuple(int(total) for total in game.OUTCOME_PAYOFFS[outcomes].sum(axis=0))
 
 
 # --- Variance study -------------------------------------------------------

@@ -3,11 +3,15 @@
 run_match plays a lineup of three plain ProfileAgents on the compiled tree
 and every other lineup one decision at a time.  A subclass that changes
 nothing still takes the per-decision loop, which makes it the reference
-here: both paths must give equal records and byte-identical logs.
+here: both paths must give equal records and byte-identical logs, and
+the log must equal a csv.writer rendering of every hand decoded through
+the string API.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
@@ -48,8 +52,23 @@ def lineup(cls, pool, seating):
 
 def decisions_by_seat(record, seat):
     """Decision histories of seat in every hand of record, in play order."""
-    return [hand.history[:j] for hand in record.hands for j in range(len(hand.history))
-            if game.acting_seat(hand.history[:j]) == seat]
+    histories = [game.TERMINAL_HISTORIES[o % 13] for o in record.hands]
+    return [h[:j] for h in histories for j in range(len(h)) if game.acting_seat(h[:j]) == seat]
+
+
+def reference_log(record):
+    """The match log as csv.writer renders each hand decoded with the
+    string API: cards from DEALS, actions from TERMINAL_HISTORIES, chips
+    from terminal_payoffs."""
+    out = io.StringIO()
+    out.write(f"# seats: {','.join(record.agent_names)}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(harness.LOG_COLUMNS)
+    for index, o in enumerate(record.hands):
+        d, t = divmod(o, 13)
+        deal, history = game.DEALS[d], game.TERMINAL_HISTORIES[t]
+        writer.writerow([index, *deal, history, *game.terminal_payoffs(deal, history)])
+    return out.getvalue()
 
 
 @given(pool=st.lists(profiles, min_size=1, max_size=3),
@@ -63,7 +82,10 @@ def test_batch_path_equals_scalar_reference(pool, seating, hands, seed):
     batch = harness.run_match(lineup(ProfileAgent, pool, seating), cards, seed)
     scalar = harness.run_match(lineup(ReferenceProfileAgent, pool, seating), cards, seed)
     assert batch == scalar
-    assert harness.match_log(batch) == harness.match_log(scalar)
+    assert [o // 13 for o in batch.hands] == cards.tolist()
+    log = harness.match_log(batch)
+    assert log == harness.match_log(scalar) == reference_log(batch)
+    assert harness.replay_match_log(log) == batch.seat_totals
 
 
 def test_plain_profile_lineup_never_calls_act(monkeypatch):

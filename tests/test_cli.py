@@ -327,7 +327,9 @@ def _edit_last_row(log, edit):
     (lambda row: row + ["0"], "hand 29: expected 8 fields, got 9"),
     (lambda row: row[:1] + ["Q", "K", "Q"] + row[4:], "hand 29: invalid deal 'QKQ'"),
     (lambda row: row[:4] + ["KK"] + row[5:], "hand 29: history 'KK' is not terminal"),
-], ids=["non-integer-chips", "short-row", "long-row", "invalid-deal", "non-terminal-history"])
+    (lambda row: row[:6] + ["-1", "-3"], "hand 29: chips2 expected -2, found -1"),
+], ids=["non-integer-chips", "short-row", "long-row", "invalid-deal", "non-terminal-history",
+        "wrong-chips"])
 def test_replay_rejects_malformed_rows(tmp_path, capsys, edit, message):
     config = write_config(tmp_path)
     out = tmp_path / "tourn"

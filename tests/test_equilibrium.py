@@ -194,11 +194,6 @@ def test_tree_walks_match_oracle_and_enumeration(profile):
 
 
 def test_tree_walks_call_no_string_helpers(monkeypatch):
-    cards = harness.deal_sequence(3, (0,), 200)
-    specs = [AgentSpec("UniformRandom")] * 3
-    record = harness.run_match([make_agent(spec) for spec in specs], cards, 3)
-    log = harness.match_log(record)
-
     def refuse(*args):
         raise AssertionError(f"string helper called with {args}")
 
@@ -209,4 +204,8 @@ def test_tree_walks_call_no_string_helpers(monkeypatch):
     assert eq.epsilon_report(profile).epsilon == F(1, 192)
     assert eq.pure_strategy_oracle(profile, 1).br_value == F(-5, 192)
     assert eq.CfrTrainer().run(20).iteration_count == 20
-    assert harness.replay_match_log(log) == record.seat_totals
+    # A batch match, its log and the log's replay.
+    agents = [make_agent(AgentSpec("UniformRandom"))] * 3
+    record = harness.run_match(agents, harness.deal_sequence(3, (0,), 200), 3)
+    assert len(record.hands) == 200
+    assert harness.replay_match_log(harness.match_log(record)) == record.seat_totals

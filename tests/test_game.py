@@ -221,3 +221,8 @@ def test_compiled_tables_match_string_api():
         for n, h in enumerate(game.NODES):
             expected = game.terminal_payoffs(deal, h) if game.is_terminal(h) else (0, 0, 0)
             assert tuple(game.PAYOFFS[d, n]) == expected
+    assert game.DECISION_ACTIONS == tuple(map(game.action_pair, game.DECISION_HISTORIES))
+    assert len(game.OUTCOMES) == len(game.OUTCOME_PAYOFFS) == 24 * 13
+    for o, (deal, history) in enumerate(game.OUTCOMES):
+        assert divmod(o, 13) == (game.DEALS.index(deal), game.TERMINAL_HISTORIES.index(history))
+        assert tuple(game.OUTCOME_PAYOFFS[o]) == game.terminal_payoffs(deal, history)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import statistics
 
+import numpy as np
 import pytest
 
 from kuhn3p import game, harness
@@ -18,6 +19,12 @@ TRIPLE = (AgentSpec("NashLB"), AgentSpec("UniformRandom"),
 
 def lineup(specs):
     return [make_agent(spec) for spec in specs]
+
+
+def decode(o):
+    """The deal index of outcome o and its net chips, from the string API."""
+    d, t = divmod(o, 13)
+    return d, game.terminal_payoffs(game.DEALS[d], game.TERMINAL_HISTORIES[t])
 
 
 def small_config(**overrides):
@@ -44,29 +51,30 @@ def test_match_config_validation():
 def test_deal_sequence_is_deterministic_and_valid():
     a = harness.deal_sequence(42, (0, 1), 500)
     b = harness.deal_sequence(42, (0, 1), 500)
-    assert a == b
-    assert all(deal in game.DEALS for deal in a)
-    assert len(set(a)) > 1  # not stuck on one deal
+    assert np.array_equal(a, b)
+    assert set(a.tolist()) <= set(range(len(game.DEALS)))
+    assert len(set(a.tolist())) > 1  # not stuck on one deal
 
 
 def test_deal_sequence_key_isolation():
     a = harness.deal_sequence(42, (0, 1), 200)
     b = harness.deal_sequence(42, (0, 2), 200)
     c = harness.deal_sequence(43, (0, 1), 200)
-    assert a != b
-    assert a != c
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_run_match_zero_sum_every_hand():
     cards = harness.deal_sequence(3, (0,), 300)
     record = harness.run_match(lineup(TRIPLE), cards, 3)
     assert len(record.hands) == 300
-    for hand in record.hands:
-        assert sum(hand.payoffs) == 0
-        assert hand.history in game.TERMINAL_HISTORIES
-        assert hand.deal == cards[hand.index]
+    assert all(0 <= o < len(game.DEALS) * len(game.TERMINAL_HISTORIES) for o in record.hands)
+    hands = [decode(o) for o in record.hands]
+    for index, (d, payoffs) in enumerate(hands):
+        assert sum(payoffs) == 0
+        assert d == cards[index]
     assert sum(record.seat_totals) == 0
-    recomputed = [sum(h.payoffs[s] for h in record.hands) for s in range(3)]
+    recomputed = [sum(payoffs[s] for _, payoffs in hands) for s in range(3)]
     assert tuple(recomputed) == record.seat_totals
 
 
@@ -75,7 +83,7 @@ def test_run_match_is_deterministic():
     a = harness.run_match(lineup(TRIPLE), cards, 17)
     b = harness.run_match(lineup(TRIPLE), cards, 17)
     assert a.seat_totals == b.seat_totals
-    assert [h.history for h in a.hands] == [h.history for h in b.hands]
+    assert a.hands == b.hands
 
 
 class _IllegalAgent(Agent):
@@ -86,19 +94,45 @@ class _IllegalAgent(Agent):
 
 
 def test_run_match_rejects_illegal_actions():
-    cards = ["QKA"] * 5
+    cards = [game.DEALS.index("QKA")] * 5
     agents = [_IllegalAgent(), _IllegalAgent(), _IllegalAgent()]
-    with pytest.raises(RuntimeError, match="illegal action"):
+    with pytest.raises(RuntimeError, match="^agent 'Illegal' returned illegal action 'C' "
+                                           "at history '' in hand 0$"):
         harness.run_match(agents, cards, 0)
+
+
+class _CountingAgent(Agent):
+    name = "Counting"
+
+    def __init__(self):
+        self.decisions = 0
+
+    def act(self, observation, rng):
+        self.decisions += 1
+        return game.action_pair(observation.history)[0]
+
+
+@pytest.mark.parametrize("deals, bad", [
+    ([0, -1, 3], "hand 1: deal -1 "),
+    (np.array([5, 23, 24]), "hand 2: deal 24 "),
+    ([2, 3.0], "hand 1: deal 3.0 "),
+    (["QKA"], "hand 0: deal 'QKA' "),
+], ids=["negative", "too-large", "float", "string"])
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+def test_run_match_rejects_bad_deal_indices(deals, bad, batch):
+    agents = lineup([AgentSpec("NashLB")] * 3) if batch else [_CountingAgent() for _ in range(3)]
+    with pytest.raises(ValueError, match=f"^{bad}is not a game.DEALS index$"):
+        harness.run_match(agents, deals, 0)
+    assert batch or all(agent.decisions == 0 for agent in agents)
 
 
 def test_duplicate_set_shares_cards_and_rotates_seats():
     config = small_config()
     ds = harness.run_duplicate_set(TRIPLE, config, (0,))
     assert len(ds.matches) == 6
-    sequences = {tuple(h.deal for h in m.hands) for m in ds.matches}
+    sequences = {tuple(o // 13 for o in m.hands) for m in ds.matches}
     assert len(sequences) == 1  # all six matches replay the same cards
-    assert tuple(ds.card_sequence) in sequences
+    assert tuple(ds.card_sequence.tolist()) in sequences
     seatings = {m.agent_names for m in ds.matches}
     assert len(seatings) == 6  # every permutation appears once
     # Each agent occupies every seat exactly twice across the set.
@@ -196,9 +230,11 @@ def test_replay_detects_tampered_chips():
     text = harness.match_log(record)
     lines = text.splitlines()
     row = lines[-1].split(",")
-    row[-1] = str(int(row[-1]) + 3)
+    chips = int(row[-1])
+    row[-1] = str(chips + 3)
     lines[-1] = ",".join(row)
-    with pytest.raises(harness.ReplayError, match="disagree"):
+    with pytest.raises(harness.ReplayError,
+                       match=f"^hand 4: chips3 expected {chips}, found {chips + 3}$"):
         harness.replay_match_log("\n".join(lines) + "\n")
 
 
