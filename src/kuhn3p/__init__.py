@@ -4,117 +4,3 @@ Exact rules engine, tabulated equilibrium profiles completed by strict
 dominance, rational-arithmetic best-response verification, vanilla CFR
 training, an agent zoo, and a duplicate-match tournament harness.
 """
-
-from .game import (
-    CARDS,
-    CARD_INDEX,
-    DEALS,
-    IllegalHistoryError,
-    InfoSetKey,
-    acting_seat,
-    all_infoset_keys,
-    enumerate_deals,
-    infoset_key,
-    is_terminal,
-    situation_of,
-    terminal_payoffs,
-)
-from .strategy import (
-    ProfileFormatError,
-    StrategyProfile,
-    complete_profile,
-    load_table,
-    nash_profile,
-    parse_profile,
-    serialize_profile,
-)
-from .equilibrium import (
-    BestResponseResult,
-    CfrTrainer,
-    EpsilonReport,
-    best_response,
-    cfr_train,
-    epsilon,
-    epsilon_report,
-    expected_values,
-    pure_strategy_oracle,
-)
-from .agents import (
-    Agent,
-    AgentSpec,
-    FrequencyModeler,
-    Observation,
-    ProfileAgent,
-    build_honest_profile,
-    make_agent,
-    validate_spec,
-)
-from .harness import (
-    DuplicateSet,
-    MatchConfig,
-    MatchRecord,
-    TournamentReport,
-    VarianceStudy,
-    match_log,
-    replay_match_log,
-    report_csv,
-    report_json,
-    run_duplicate_set,
-    run_match,
-    run_tournament,
-    variance_study,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CARDS",
-    "CARD_INDEX",
-    "DEALS",
-    "IllegalHistoryError",
-    "InfoSetKey",
-    "acting_seat",
-    "all_infoset_keys",
-    "enumerate_deals",
-    "infoset_key",
-    "is_terminal",
-    "situation_of",
-    "terminal_payoffs",
-    "ProfileFormatError",
-    "StrategyProfile",
-    "complete_profile",
-    "load_table",
-    "nash_profile",
-    "parse_profile",
-    "serialize_profile",
-    "BestResponseResult",
-    "CfrTrainer",
-    "EpsilonReport",
-    "best_response",
-    "cfr_train",
-    "epsilon",
-    "epsilon_report",
-    "expected_values",
-    "pure_strategy_oracle",
-    "Agent",
-    "AgentSpec",
-    "FrequencyModeler",
-    "Observation",
-    "ProfileAgent",
-    "build_honest_profile",
-    "make_agent",
-    "validate_spec",
-    "DuplicateSet",
-    "MatchConfig",
-    "MatchRecord",
-    "TournamentReport",
-    "VarianceStudy",
-    "match_log",
-    "replay_match_log",
-    "report_csv",
-    "report_json",
-    "run_duplicate_set",
-    "run_match",
-    "run_tournament",
-    "variance_study",
-]

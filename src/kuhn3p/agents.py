@@ -50,6 +50,12 @@ class Agent:
                        payoffs: tuple[int, int, int]) -> None:
         """Called once per completed hand; revealed holds showdown cards only."""
 
+    def __setstate__(self, state: dict) -> None:
+        # Attribute by attribute, as __init__ sets them: CPython reads the
+        # attributes of a copy whose __dict__ was filled whole more slowly.
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 

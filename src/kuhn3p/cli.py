@@ -161,7 +161,6 @@ def load_config(path: str, min_agents: int = 3,
                  f"agents: need at most {max_agents}, got {len(raw['agents'])}")
     _require(isinstance(raw["master_seed"], int) and not isinstance(raw["master_seed"], bool),
              "master_seed: expected an integer")
-    _require(raw["master_seed"] >= 0, "master_seed: must be >= 0")
 
     pool = []
     names: list[Optional[str]] = []

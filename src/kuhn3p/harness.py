@@ -16,6 +16,7 @@ and adding groupings to a tournament never perturbs existing ones.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
@@ -82,7 +83,6 @@ class MatchRecord:
 class DuplicateSet:
     """Six matches, one per seating permutation, sharing one card sequence."""
 
-    agent_names: tuple[str, str, str]
     card_sequence: np.ndarray  # deal indices, as drawn by deal_sequence
     matches: list[MatchRecord]
     slot_totals: tuple[int, int, int]  # aggregated per triple slot, not per seat
@@ -207,37 +207,38 @@ def _play_profiles(agents: Sequence[ProfileAgent], deals: np.ndarray,
     return node
 
 
-def _play_seatings(triple: Sequence[AgentSpec], built: Sequence[Agent], master_seed: int,
-                   cards: Sequence[np.ndarray],
-                   decision_key: tuple[int, ...]) -> tuple[list[MatchRecord], tuple[int, int, int]]:
-    """The six matches of a triple, one per seating permutation, and their
-    chips per triple slot.  Permutation p plays cards[p] with decisions
-    keyed by decision_key + (p,).  built holds one agent per slot, made by
-    make_agent: stateless ProfileAgents are shared read-only, and any other
-    agent is built afresh from its spec, so that it starts every match
-    with a clean slate."""
+def _slot_totals(matches: Sequence[MatchRecord]) -> tuple[int, int, int]:
+    """Chips per triple slot of six matches played in PERMUTATIONS order."""
+    totals = [0, 0, 0]
+    for perm, record in zip(PERMUTATIONS, matches):
+        for s in range(3):
+            totals[perm[s]] += record.seat_totals[s]
+    return tuple(totals)
+
+
+def _play_seatings(agents: Sequence[Agent], master_seed: int, cards: Sequence[np.ndarray],
+                   decision_key: tuple[int, ...]) -> list[MatchRecord]:
+    """The six matches of a triple, permutation p playing cards[p] with
+    decisions keyed by decision_key + (p,).  agents holds one unplayed agent
+    per slot: a plain ProfileAgent is shared read-only, and any other agent
+    is seated as a deep copy, so that it starts every match afresh."""
     matches = []
-    slot_totals = [0, 0, 0]
     for p, perm in enumerate(PERMUTATIONS):
-        seated = [built[slot] if type(built[slot]) is ProfileAgent else make_agent(triple[slot])
+        seated = [agents[slot] if type(agents[slot]) is ProfileAgent else copy.deepcopy(agents[slot])
                   for slot in perm]
         seed = np.random.SeedSequence(master_seed, spawn_key=decision_key + (p,))
-        record = run_match(seated, cards[p], seed)
-        for s in range(3):
-            slot_totals[perm[s]] += record.seat_totals[s]
-        matches.append(record)
-    return matches, tuple(slot_totals)
+        matches.append(run_match(seated, cards[p], seed))
+    return matches
 
 
-def _duplicate_set(triple: Sequence[AgentSpec], built: Sequence[Agent], config: MatchConfig,
+def _duplicate_set(agents: Sequence[Agent], config: MatchConfig,
                    set_key: Sequence[int]) -> DuplicateSet:
-    if len(triple) != 3:
-        raise ValueError(f"a duplicate set needs exactly 3 agents, got {len(triple)}")
+    if len(agents) != 3:
+        raise ValueError(f"a duplicate set needs exactly 3 agents, got {len(agents)}")
     key = tuple(int(k) for k in set_key)
     cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
-    matches, slot_totals = _play_seatings(triple, built, config.master_seed, [cards] * 6,
-                                          (_DOMAIN_DECISIONS,) + key)
-    return DuplicateSet(tuple(spec.kind for spec in triple), cards, matches, slot_totals)
+    matches = _play_seatings(agents, config.master_seed, [cards] * 6, (_DOMAIN_DECISIONS,) + key)
+    return DuplicateSet(cards, matches, _slot_totals(matches))
 
 
 def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
@@ -246,10 +247,10 @@ def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
 
     set_key identifies the set within the tournament (grouping indices plus
     set index); it keys both the card stream and the per-permutation
-    decision streams.  Each spec is built once by make_agent; stateful
-    agents are rebuilt for every match.
+    decision streams.  Each spec is built once by make_agent; a stateful
+    agent is copied from that unplayed instance for every match.
     """
-    return _duplicate_set(triple, [make_agent(spec) for spec in triple], config, set_key)
+    return _duplicate_set([make_agent(spec) for spec in triple], config, set_key)
 
 
 @dataclass
@@ -268,7 +269,9 @@ class AgentResult:
 @dataclass
 class GroupingResult:
     """Per-grouping detail: pool indices, per-slot set aggregates, and the
-    underlying duplicate sets (hand logs emptied when keep_hands is off)."""
+    underlying duplicate sets (hands and card sequences emptied when
+    keep_hands is off).  set_totals is the tournament's one tally:
+    slot_totals and every AgentResult are derived from it."""
 
     pool_indices: tuple[int, int, int]
     labels: tuple[str, str, str]
@@ -308,9 +311,10 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     Each grouping plays matches_per_permutation duplicate sets (6 matches
     each).  Set seeds derive from (grouping indices, set index) so the pool
     may grow without disturbing existing groupings.  keep_hands=False drops
-    per-hand logs after aggregation to bound memory on large tournaments.
-    Each pool agent is built once by make_agent, which validates its spec;
-    stateful ones are rebuilt for every match.
+    each set's hands and card sequence once it is tallied, to bound memory
+    on large tournaments.  Each pool agent is built once by make_agent,
+    which validates its spec; a stateful one is copied from that unplayed
+    instance for every match.
     """
     if len(pool) < 3:
         raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
@@ -322,50 +326,31 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         raise ValueError("agent labels must be unique")
 
     grouping_results: list[GroupingResult] = []
-    # Per-agent accumulators across all groupings.
-    totals = [0] * len(pool)
-    set_means: list[list[float]] = [[] for _ in pool]  # per-set chips/hand samples
-    hands_per_set = 6 * config.hands_per_match
-    groupings = math.comb(len(pool) - 1, 2)  # the same for every agent
-    hands_played = groupings * config.matches_per_permutation * hands_per_set
-
     for indices in itertools.combinations(range(len(pool)), 3):
-        triple = [pool[i] for i in indices]
-        set_totals = []
-        slot_totals = [0, 0, 0]
         sets = []
         for set_idx in range(config.matches_per_permutation):
-            dup = _duplicate_set(triple, [built[i] for i in indices], config,
-                                 indices + (set_idx,))
-            set_totals.append(dup.slot_totals)
-            for slot in range(3):
-                slot_totals[slot] += dup.slot_totals[slot]
-                set_means[indices[slot]].append(dup.slot_totals[slot] / hands_per_set)
+            dup = _duplicate_set([built[i] for i in indices], config, indices + (set_idx,))
             if not keep_hands:
+                dup.card_sequence = np.empty(0, dtype=dup.card_sequence.dtype)
                 for match in dup.matches:
                     match.hands.clear()
             sets.append(dup)
-        for slot in range(3):
-            totals[indices[slot]] += slot_totals[slot]
+        set_totals = [dup.slot_totals for dup in sets]
         grouping_results.append(GroupingResult(
-            indices, tuple(labels[i] for i in indices), set_totals, tuple(slot_totals), sets))
+            indices, tuple(labels[i] for i in indices), set_totals,
+            tuple(sum(chips) for chips in zip(*set_totals)), sets))
 
+    hands_per_set = 6 * config.hands_per_match
     agents = []
     for i, label in enumerate(labels):
-        samples = set_means[i]
-        if len(samples) >= 2:
-            std_error = statistics.stdev(samples) / math.sqrt(len(samples))
-        else:
-            std_error = 0.0
-        agents.append(AgentResult(
-            label=label,
-            groupings=groupings,
-            hands=hands_played,
-            total_chips=totals[i],
-            chips_per_hand=totals[i] / hands_played,
-            normalized_total=totals[i] / config.normalization_divisor,
-            std_error=std_error,
-        ))
+        # The chips of every set the agent played, grouping by grouping.
+        chips = [totals[g.pool_indices.index(i)] for g in grouping_results if i in g.pool_indices
+                 for totals in g.set_totals]
+        samples = [c / hands_per_set for c in chips]
+        std_error = statistics.stdev(samples) / math.sqrt(len(samples)) if len(samples) >= 2 else 0.0
+        total, hands = sum(chips), len(chips) * hands_per_set
+        agents.append(AgentResult(label, len(chips) // config.matches_per_permutation, hands, total,
+                                  total / hands, total / config.normalization_divisor, std_error))
     return TournamentReport(config, labels, list(pool), agents, grouping_results)
 
 
@@ -455,8 +440,10 @@ def _checked_outcomes(rows: list[str]) -> list[int]:
     if tuple(header) != LOG_COLUMNS:
         raise ReplayError(f"unrecognized log header: {header!r}")
     outcomes = []
-    for row in reader:
+    for k, row in enumerate(reader):
         index = row[0]
+        if index != str(k):
+            raise ReplayError(f"hand {k}: hand expected {k}, found {index!r}")
         if len(row) != len(LOG_COLUMNS):
             raise ReplayError(f"hand {index}: expected {len(LOG_COLUMNS)} fields, got {len(row)}")
         deal = row[1] + row[2] + row[3]
@@ -483,12 +470,14 @@ def _checked_outcomes(rows: list[str]) -> list[int]:
 def replay_match_log(text: str) -> tuple[int, int, int]:
     """Look up every hand's payoffs from its cards and action string in the
     rules engine's payoff table and check them against the logged chips;
-    returns the per-seat totals.  Rows are looked up whole among the 312
-    that match_log writes; a log with any other row, or with a quote (csv
-    reads a quoted field across lines), is checked field by field.
+    returns the per-seat totals.  Row k must read k, and the rest of it is
+    looked up whole among the 312 that match_log writes; a log with any
+    other row, or a quote (csv reads a quoted field across lines), is
+    checked field by field.
 
     Raises ReplayError naming the hand and the field for a log that lacks
-    the '# seats:' line naming three agents, a row without exactly one
+    the '# seats:' line naming three agents, a row numbered out of turn
+    ("hand 5: hand expected 5, found '0'"), a row without exactly one
     value per column, an invalid deal, an action string that does not end
     the hand, a chip count that is not an integer, or chips that disagree
     with the rules ("hand 29: chips2 expected 2, found 1")."""
@@ -502,7 +491,8 @@ def replay_match_log(text: str) -> tuple[int, int, int]:
         raise ReplayError("log contains no hands")
     outcomes = None
     if '"' not in text and rows[0] == ",".join(LOG_COLUMNS):
-        outcomes = [_TAIL_OUTCOME.get(row.partition(",")[2]) for row in rows[1:]]
+        outcomes = [_TAIL_OUTCOME.get(tail) if hand == str(k) else None
+                    for k, (hand, _, tail) in enumerate(row.partition(",") for row in rows[1:])]
     if outcomes is None or None in outcomes:
         outcomes = _checked_outcomes(rows)
     return tuple(int(total) for total in game.OUTCOME_PAYOFFS[outcomes].sum(axis=0))
@@ -534,8 +524,8 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     6 seatings but a fresh card sequence per match.  Both arms consume
     6 * hands_per_match hands per replication, and the studied statistic is
     the slot-0 agent's aggregate chips per hand.  The ratio is 1.0 when
-    both variances vanish.  Each spec is built once by make_agent;
-    stateful agents are rebuilt for every match.
+    both variances vanish.  Each spec is built once by make_agent; a
+    stateful agent is copied from that unplayed instance for every match.
     """
     if replications < 30:
         raise ValueError(f"replications must be >= 30, got {replications}")
@@ -544,14 +534,14 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     duplicate_samples = []
     independent_samples = []
     for r in range(replications):
-        dup = _duplicate_set(triple, built, config, (_DOMAIN_STUDY_CARDS, r))
+        dup = _duplicate_set(built, config, (_DOMAIN_STUDY_CARDS, r))
         duplicate_samples.append(dup.slot_totals[0] / hands_per_rep)
 
         cards = [deal_sequence(config.master_seed, (_DOMAIN_STUDY_INDEP_CARDS, r, p),
                                config.hands_per_match) for p in range(len(PERMUTATIONS))]
-        _, slot_totals = _play_seatings(triple, built, config.master_seed, cards,
-                                        (_DOMAIN_STUDY_INDEP_DECISIONS, r))
-        independent_samples.append(slot_totals[0] / hands_per_rep)
+        matches = _play_seatings(built, config.master_seed, cards,
+                                 (_DOMAIN_STUDY_INDEP_DECISIONS, r))
+        independent_samples.append(_slot_totals(matches)[0] / hands_per_rep)
 
     var_dup = statistics.variance(duplicate_samples)
     var_ind = statistics.variance(independent_samples)

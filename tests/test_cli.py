@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,17 @@ def test_solve_ub_matches_table(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert "2 K 3 7/8" in lines  # b33
     assert "2 J 1 1/4" in lines  # b11
+
+
+def test_module_entry_point_solves_and_verifies(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    profile = str(tmp_path / "lb.profile")
+    for argv in (["solve", "--variant", "LB", "--out", profile], ["verify", "--profile", profile]):
+        done = subprocess.run([sys.executable, "-m", "kuhn3p", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1].startswith("verified: ")
 
 
 def test_verify_accepts_lb(tmp_path, capsys):
@@ -228,6 +243,7 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     {"agents": [{"kind": "FrequencyModeler", "parameters": {"smoothing": float("inf")}},
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
+    {"master_seed": -1},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {
@@ -328,8 +344,9 @@ def _edit_last_row(log, edit):
     (lambda row: row[:1] + ["Q", "K", "Q"] + row[4:], "hand 29: invalid deal 'QKQ'"),
     (lambda row: row[:4] + ["KK"] + row[5:], "hand 29: history 'KK' is not terminal"),
     (lambda row: row[:6] + ["-1", "-3"], "hand 29: chips2 expected -2, found -1"),
+    (lambda row: ["7"] + row[1:], "hand 29: hand expected 29, found '7'"),
 ], ids=["non-integer-chips", "short-row", "long-row", "invalid-deal", "non-terminal-history",
-        "wrong-chips"])
+        "wrong-chips", "renumbered-hand"])
 def test_replay_rejects_malformed_rows(tmp_path, capsys, edit, message):
     config = write_config(tmp_path)
     out = tmp_path / "tourn"

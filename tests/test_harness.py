@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kuhn3p import game, harness
-from kuhn3p.agents import Agent, AgentSpec, make_agent
+from kuhn3p.agents import Agent, AgentSpec, FrequencyModeler, make_agent
 from kuhn3p.harness import MatchConfig
 
 
@@ -238,26 +238,56 @@ def test_replay_detects_tampered_chips():
         harness.replay_match_log("\n".join(lines) + "\n")
 
 
+def test_replay_rejects_rows_appended_twice():
+    record = harness.run_match(lineup(TRIPLE), harness.deal_sequence(21, (0,), 5), 21)
+    text = harness.match_log(record)
+    rows = text.splitlines(keepends=True)[-5:]
+    with pytest.raises(harness.ReplayError, match="^hand 5: hand expected 5, found '0'$"):
+        harness.replay_match_log(text + "".join(rows))
+
+
 def test_replay_detects_malformed_rows():
     with pytest.raises(harness.ReplayError):
         harness.replay_match_log("hand,card1\n0,J\n")
 
 
 def test_tournament_builds_each_stateless_agent_once(monkeypatch):
+    run_match = harness.run_match
     built = []
+    seated = []
 
-    def counting_make_agent(spec):
-        built.append(spec.kind)
-        return make_agent(spec)
+    def recording_make_agent(spec):
+        built.append(make_agent(spec))
+        return built[-1]
 
-    monkeypatch.setattr(harness, "make_agent", counting_make_agent)
+    def recording_run_match(agents, deals, seed):
+        modelers = [agent for agent in agents if isinstance(agent, FrequencyModeler)]
+        seated.append([(agent, dict(agent._counts)) for agent in modelers])
+        return run_match(agents, deals, seed)
+
+    monkeypatch.setattr(harness, "make_agent", recording_make_agent)
+    monkeypatch.setattr(harness, "run_match", recording_run_match)
     pool = [AgentSpec("FrequencyModeler"), AgentSpec("NashLB"), AgentSpec("UniformRandom")]
     config = small_config()
     report = harness.run_tournament(pool, config)
-    matches = 6 * config.matches_per_permutation
-    # Profile agents are built once; the stateful modeler once more per match.
-    assert sorted(built) == sorted(["NashLB", "UniformRandom"] + ["FrequencyModeler"] * (1 + matches))
+    assert [agent.name for agent in built] == ["FrequencyModeler", "NashLB", "UniformRandom"]
+    assert len(seated) == 6 * config.matches_per_permutation
+    # Every match seats its own modeler, unplayed, never the pool's instance.
+    assert all(len(modelers) == 1 and modelers[0][1] == {} for modelers in seated)
+    instances = [built[0]] + [modelers[0][0] for modelers in seated]
+    assert len({id(agent) for agent in instances}) == len(instances)
     assert sum(r.total_chips for r in report.agents) == 0
+
+
+def test_tournament_without_hands_reports_the_same():
+    pool = list(TRIPLE) + [AgentSpec("FrequencyModeler")]
+    kept = harness.run_tournament(pool, small_config())
+    dropped = harness.run_tournament(pool, small_config(), keep_hands=False)
+    assert harness.report_csv(dropped) == harness.report_csv(kept)
+    assert harness.report_json(dropped) == harness.report_json(kept)
+    sets = [dup for grouping in dropped.groupings for dup in grouping.sets]
+    assert all(len(dup.card_sequence) == 0 and dup.card_sequence.base is None for dup in sets)
+    assert all(match.hands == [] for dup in sets for match in dup.matches)
 
 
 def test_variance_study_values():
