@@ -23,8 +23,8 @@ import numpy as np
 
 from . import game
 from . import strategy
-from .game import (AGGRESSIVE_CHILD, DECISION_SEAT, DECISION_SITUATION, N_DECISIONS,
-                   PASSIVE_CHILD, Action, ActionHistory, Card, Seat)
+from .game import (AGGRESSIVE_CHILD, DECISION_ACTIONS, DECISION_SEAT, DECISION_SITUATION,
+                   N_DECISIONS, PASSIVE_CHILD, Action, ActionHistory, Card, InfoSetKey, Seat)
 from .strategy import StrategyProfile
 
 
@@ -74,8 +74,9 @@ class ProfileAgent(Agent):
         self.probabilities.flags.writeable = False
 
     def act(self, obs: Observation, rng) -> Action:
-        key = game.infoset_key(obs.seat, obs.private_card, obs.history)
-        passive, aggressive = game.action_pair(obs.history)
+        n = game.NODE_ID[obs.history]
+        passive, aggressive = DECISION_ACTIONS[n]
+        key = InfoSetKey(obs.seat, obs.private_card, DECISION_SITUATION[n])
         return aggressive if rng.uniform() < self._prob[key] else passive
 
 
@@ -141,8 +142,8 @@ class FrequencyModeler(Agent):
 
     def act(self, obs: Observation, rng) -> Action:
         self._seat = obs.seat
-        passive, aggressive = game.action_pair(obs.history)
         n = game.NODE_ID[obs.history]
+        passive, aggressive = DECISION_ACTIONS[n]
         means = _TERMINAL_MEANS[obs.seat, obs.private_card]
         v_passive = self._value(means, obs.seat, PASSIVE_CHILD[n])
         v_aggressive = self._value(means, obs.seat, AGGRESSIVE_CHILD[n])

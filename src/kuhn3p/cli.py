@@ -122,6 +122,7 @@ def _parse_agent(entry: object, where: str, directory: str) -> tuple[AgentSpec, 
     name = entry.get("name")
     if name is not None:
         _require(isinstance(name, str) and name != "", f"{where}.name: expected a non-empty string")
+        _require(name.splitlines() == [name], f"{where}.name: must not contain a line break")
     parameters = entry.get("parameters", {})
     _require(isinstance(parameters, dict), f"{where}.parameters: expected an object")
     if entry["kind"] == "CFRTrained" and "profile" in parameters:
@@ -245,14 +246,15 @@ def cmd_variance_study(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    text = _read_text(args.log)
+    """Replay a match log through harness.replay_match_log and print the
+    hand count and per-seat totals of the record it returns."""
     try:
-        totals = harness.replay_match_log(text)
+        record = harness.replay_match_log(_read_text(args.log))
     except harness.ReplayError as exc:
         print(f"replay mismatch: {exc}", file=sys.stderr)
         return 1
-    hands = sum(1 for line in text.splitlines() if line and not line.startswith("#")) - 1
-    print(f"replayed {hands} hands; per-seat totals {totals[0]} {totals[1]} {totals[2]}")
+    totals = record.seat_totals
+    print(f"replayed {len(record.hands)} hands; per-seat totals {totals[0]} {totals[1]} {totals[2]}")
     return 0
 
 

@@ -72,7 +72,8 @@ class MatchConfig:
 class MatchRecord:
     """One match: per-seat agent names, totals, and every hand's outcome in
     play order (an index of game.OUTCOMES; divmod(o, 13) gives the indices
-    of its deal in game.DEALS and its terminal in game.TERMINAL_HISTORIES)."""
+    of its deal in game.DEALS and its terminal in game.TERMINAL_HISTORIES).
+    replay_match_log reads match_log's text of it back to an equal record."""
 
     agent_names: tuple[str, str, str]
     seat_totals: tuple[int, int, int]
@@ -81,9 +82,9 @@ class MatchRecord:
 
 @dataclass
 class DuplicateSet:
-    """Six matches, one per seating permutation, sharing one card sequence."""
+    """Six matches, one per seating permutation, sharing one card sequence:
+    each match's deals are its hands' outcomes // 13."""
 
-    card_sequence: np.ndarray  # deal indices, as drawn by deal_sequence
     matches: list[MatchRecord]
     slot_totals: tuple[int, int, int]  # aggregated per triple slot, not per seat
 
@@ -238,7 +239,7 @@ def _duplicate_set(agents: Sequence[Agent], config: MatchConfig,
     key = tuple(int(k) for k in set_key)
     cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
     matches = _play_seatings(agents, config.master_seed, [cards] * 6, (_DOMAIN_DECISIONS,) + key)
-    return DuplicateSet(cards, matches, _slot_totals(matches))
+    return DuplicateSet(matches, _slot_totals(matches))
 
 
 def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
@@ -269,8 +270,8 @@ class AgentResult:
 @dataclass
 class GroupingResult:
     """Per-grouping detail: pool indices, per-slot set aggregates, and the
-    underlying duplicate sets (hands and card sequences emptied when
-    keep_hands is off).  set_totals is the tournament's one tally:
+    underlying duplicate sets (every match's hands emptied when keep_hands
+    is off).  set_totals is the tournament's one tally:
     slot_totals and every AgentResult are derived from it."""
 
     pool_indices: tuple[int, int, int]
@@ -282,7 +283,8 @@ class GroupingResult:
 
 @dataclass
 class TournamentReport:
-    """Full tournament outcome plus the configuration that produced it.
+    """Full tournament outcome: the protocol configuration, the pool's
+    labels, one AgentResult per label and the per-grouping detail.
 
     Deliberately carries no wall-clock metadata: identical inputs must
     serialize to byte-identical reports.
@@ -290,7 +292,6 @@ class TournamentReport:
 
     config: MatchConfig
     labels: list[str]
-    specs: list[AgentSpec]
     agents: list[AgentResult]
     groupings: list[GroupingResult]
 
@@ -311,7 +312,7 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     Each grouping plays matches_per_permutation duplicate sets (6 matches
     each).  Set seeds derive from (grouping indices, set index) so the pool
     may grow without disturbing existing groupings.  keep_hands=False drops
-    each set's hands and card sequence once it is tallied, to bound memory
+    the hands of each set's matches once it is tallied, to bound memory
     on large tournaments.  Each pool agent is built once by make_agent,
     which validates its spec; a stateful one is copied from that unplayed
     instance for every match.
@@ -331,7 +332,6 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         for set_idx in range(config.matches_per_permutation):
             dup = _duplicate_set([built[i] for i in indices], config, indices + (set_idx,))
             if not keep_hands:
-                dup.card_sequence = np.empty(0, dtype=dup.card_sequence.dtype)
                 for match in dup.matches:
                     match.hands.clear()
             sets.append(dup)
@@ -351,7 +351,7 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         total, hands = sum(chips), len(chips) * hands_per_set
         agents.append(AgentResult(label, len(chips) // config.matches_per_permutation, hands, total,
                                   total / hands, total / config.normalization_divisor, std_error))
-    return TournamentReport(config, labels, list(pool), agents, grouping_results)
+    return TournamentReport(config, labels, agents, grouping_results)
 
 
 REPORT_COLUMNS = ("agent", "groupings", "total_chips", "chips_per_hand",
@@ -433,69 +433,61 @@ class ReplayError(ValueError):
     """A match log disagrees with the rules engine."""
 
 
-def _checked_outcomes(rows: list[str]) -> list[int]:
-    """The outcome of every hand row, checked field by field."""
-    reader = csv.reader(io.StringIO("\n".join(rows)))
-    header = next(reader)
-    if tuple(header) != LOG_COLUMNS:
-        raise ReplayError(f"unrecognized log header: {header!r}")
-    outcomes = []
-    for k, row in enumerate(reader):
-        index = row[0]
-        if index != str(k):
-            raise ReplayError(f"hand {k}: hand expected {k}, found {index!r}")
-        if len(row) != len(LOG_COLUMNS):
-            raise ReplayError(f"hand {index}: expected {len(LOG_COLUMNS)} fields, got {len(row)}")
-        deal = row[1] + row[2] + row[3]
-        actions = row[4]
-        try:
-            o = game.DEALS.index(deal) * game.N_TERMINALS + game.TERMINAL_HISTORIES.index(actions)
-        except ValueError:
-            problem = (f"invalid deal {deal!r}" if deal not in game.PAYOFF_TABLE
-                       else f"history {actions!r} is not terminal")
-            raise ReplayError(f"hand {index}: {problem}") from None
-        try:
-            logged = tuple(map(int, row[5:]))
-        except ValueError:
-            column, chips = next((column, chips) for column, chips in zip(LOG_COLUMNS[5:], row[5:])
-                                 if not chips.removeprefix("-").isdecimal())
-            raise ReplayError(f"hand {index}: {column} is not an integer: {chips!r}") from None
-        for column, expected, found in zip(LOG_COLUMNS[5:], game.OUTCOME_PAYOFFS[o].tolist(), logged):
-            if found != expected:
-                raise ReplayError(f"hand {index}: {column} expected {expected}, found {found}")
-        outcomes.append(o)
-    return outcomes
+def _row_error(k: int, row: str) -> ReplayError:
+    """The first field of row k, in column order, that match_log would not write."""
+    fields = row.split(",")
+    if fields[0] != str(k):
+        return ReplayError(f"hand {k}: hand expected {k}, found {fields[0]!r}")
+    if len(fields) != len(LOG_COLUMNS):
+        return ReplayError(f"hand {k}: expected {len(LOG_COLUMNS)} fields, got {len(fields)}")
+    for column, card in zip(LOG_COLUMNS[1:4], fields[1:4]):
+        if card not in game.CARDS:
+            return ReplayError(f"hand {k}: {column} is not a card: {card!r}")
+    deal = "".join(fields[1:4])
+    if deal not in game.PAYOFF_TABLE:
+        return ReplayError(f"hand {k}: invalid deal {deal!r}")
+    if fields[4] not in game.PAYOFF_TABLE[deal]:
+        return ReplayError(f"hand {k}: history {fields[4]!r} is not terminal")
+    for column, expected, found in zip(LOG_COLUMNS[5:], game.PAYOFF_TABLE[deal][fields[4]], fields[5:]):
+        if not found.removeprefix("-").isdecimal():
+            return ReplayError(f"hand {k}: {column} is not an integer: {found!r}")
+        if found != str(expected):
+            return ReplayError(f"hand {k}: {column} expected {expected}, found {found}")
+    raise AssertionError(f"row {k} is one that match_log writes: {row!r}")
 
 
-def replay_match_log(text: str) -> tuple[int, int, int]:
-    """Look up every hand's payoffs from its cards and action string in the
-    rules engine's payoff table and check them against the logged chips;
-    returns the per-seat totals.  Row k must read k, and the rest of it is
-    looked up whole among the 312 that match_log writes; a log with any
-    other row, or a quote (csv reads a quoted field across lines), is
-    checked field by field.
+def replay_match_log(text: str) -> MatchRecord:
+    """The MatchRecord that match_log wrote text from: names from the
+    '# seats:' line, totals and outcomes from row k of each hand k, looked
+    up whole among the 312 row texts.  A log must hold exactly the lines
+    match_log writes, and no line is read twice.
 
-    Raises ReplayError naming the hand and the field for a log that lacks
-    the '# seats:' line naming three agents, a row numbered out of turn
-    ("hand 5: hand expected 5, found '0'"), a row without exactly one
-    value per column, an invalid deal, an action string that does not end
-    the hand, a chip count that is not an integer, or chips that disagree
-    with the rules ("hand 29: chips2 expected 2, found 1")."""
+    Raises ReplayError if the last comment is not a '# seats:' line naming
+    three agents or the next line is not the column header, and otherwise
+    names the hand and its first field that differs: a row numbered out of
+    turn ("hand 5: hand expected 5, found '0'"), a wrong field count, a
+    card, deal or action string the rules do not know, or chips not spelled
+    as an integer or disagreeing with the rules ("hand 29: chips2 expected
+    -2, found -1")."""
     lines = text.splitlines()
-    seats = [line[len("# seats:"):].strip().split(",")
-             for line in lines if line.startswith("# seats:")]
-    if len(seats) != 1 or len(seats[0]) != 3 or not all(seats[0]):
+    h = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    seats = lines[h - 1] if h else ""
+    names = tuple(seats[len("# seats: "):].split(","))
+    if not (seats.startswith("# seats: ") and len(names) == 3 and all(names)):
         raise ReplayError("log has no '# seats:' line naming three agents")
-    rows = [line for line in lines if line and not line.startswith("#")]
-    if not rows:
+    if h == len(lines):
         raise ReplayError("log contains no hands")
-    outcomes = None
-    if '"' not in text and rows[0] == ",".join(LOG_COLUMNS):
-        outcomes = [_TAIL_OUTCOME.get(tail) if hand == str(k) else None
-                    for k, (hand, _, tail) in enumerate(row.partition(",") for row in rows[1:])]
-    if outcomes is None or None in outcomes:
-        outcomes = _checked_outcomes(rows)
-    return tuple(int(total) for total in game.OUTCOME_PAYOFFS[outcomes].sum(axis=0))
+    if lines[h] != ",".join(LOG_COLUMNS):
+        raise ReplayError(f"unrecognized log header: {lines[h].split(',')!r}")
+    outcomes = []
+    for k, row in enumerate(itertools.islice(lines, h + 1, None)):
+        hand, _, tail = row.partition(",")
+        o = _TAIL_OUTCOME.get(tail)
+        if o is None or hand != str(k):
+            raise _row_error(k, row)
+        outcomes.append(o)
+    totals = tuple(int(total) for total in game.OUTCOME_PAYOFFS[outcomes].sum(axis=0))
+    return MatchRecord(names, totals, outcomes)
 
 
 # --- Variance study -------------------------------------------------------

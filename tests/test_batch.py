@@ -85,7 +85,7 @@ def test_batch_path_equals_scalar_reference(pool, seating, hands, seed):
     assert [o // 13 for o in batch.hands] == cards.tolist()
     log = harness.match_log(batch)
     assert log == harness.match_log(scalar) == reference_log(batch)
-    assert harness.replay_match_log(log) == batch.seat_totals
+    assert harness.replay_match_log(log) == batch
 
 
 def test_plain_profile_lineup_never_calls_act(monkeypatch):

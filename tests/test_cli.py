@@ -244,6 +244,9 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
     {"master_seed": -1},
+    {"agents": [{"kind": "NashLB", "name": "Nash\nLB"},
+                {"kind": "UniformRandom"},
+                {"kind": "AlwaysAggressive"}]},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {
@@ -258,7 +261,7 @@ def test_tournament_config_errors(tmp_path, capsys, mutation):
     code, _, stderr = run(capsys, ["tournament", "--config", str(path),
                                    "--out", str(tmp_path / "t")])
     assert code == 2
-    assert stderr.strip()
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("configuration error: ")
 
 
 def test_unknown_subcommand_and_flags_exit_2(capsys):
@@ -345,8 +348,15 @@ def _edit_last_row(log, edit):
     (lambda row: row[:4] + ["KK"] + row[5:], "hand 29: history 'KK' is not terminal"),
     (lambda row: row[:6] + ["-1", "-3"], "hand 29: chips2 expected -2, found -1"),
     (lambda row: ["7"] + row[1:], "hand 29: hand expected 29, found '7'"),
+    (lambda row: row[:1] + [f'"{row[1]}"'] + row[2:], """hand 29: card1 is not a card: '"A"'"""),
+    (lambda row: row[:1] + [row[1] + row[2], row[3], ""] + row[4:],
+     "hand 29: card1 is not a card: 'AQ'"),
+    (lambda row: row[:5] + ["+" + row[5]] + row[6:], "hand 29: chips1 is not an integer: '+4'"),
+    (lambda row: row[:6] + ["-0" + row[6][1:], row[7]], "hand 29: chips2 expected -2, found -02"),
+    (lambda row: row[:7] + [" " + row[7]], "hand 29: chips3 is not an integer: ' -2'"),
 ], ids=["non-integer-chips", "short-row", "long-row", "invalid-deal", "non-terminal-history",
-        "wrong-chips", "renumbered-hand"])
+        "wrong-chips", "renumbered-hand", "quoted-card", "merged-cards", "plus-signed-chips",
+        "zero-padded-chips", "space-padded-chips"])
 def test_replay_rejects_malformed_rows(tmp_path, capsys, edit, message):
     config = write_config(tmp_path)
     out = tmp_path / "tourn"

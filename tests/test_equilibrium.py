@@ -208,4 +208,4 @@ def test_tree_walks_call_no_string_helpers(monkeypatch):
     agents = [make_agent(AgentSpec("UniformRandom"))] * 3
     record = harness.run_match(agents, harness.deal_sequence(3, (0,), 200), 3)
     assert len(record.hands) == 200
-    assert harness.replay_match_log(harness.match_log(record)) == record.seat_totals
+    assert harness.replay_match_log(harness.match_log(record)) == record
