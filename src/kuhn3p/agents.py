@@ -185,33 +185,30 @@ class FrequencyModeler(Agent):
             n = AGGRESSIVE_CHILD[n] if aggressive else PASSIVE_CHILD[n]
 
 
-AGENT_KINDS = (
-    "NashLB",
-    "NashUB",
-    "CFRTrained",
-    "UniformRandom",
-    "AlwaysAggressive",
-    "AlwaysPassive",
-    "HonestNoBluff",
-    "FrequencyModeler",
-)
-
-# Accepted parameters per kind; every other kind takes none.
+# Every agent kind, with the parameters it accepts.
 _PARAMETERS = {
+    "NashLB": (),
+    "NashUB": (),
     "CFRTrained": ("profile",),
+    "UniformRandom": (),
+    "AlwaysAggressive": (),
+    "AlwaysPassive": (),
     "HonestNoBluff": ("king_bet",),
     "FrequencyModeler": ("smoothing",),
 }
+AGENT_KINDS = tuple(_PARAMETERS)
 
 
 @dataclass(frozen=True)
 class AgentSpec:
     """Declarative agent description.  A tournament config names a
     CFRTrained profile by path; the CLI reads and parses that file, so the
-    spec always holds the StrategyProfile itself."""
+    spec always holds the StrategyProfile itself.  name, if given, is the
+    agent's label in a pool (harness.pool_labels)."""
 
     kind: str
     parameters: Mapping[str, object] = field(default_factory=dict)
+    name: Optional[str] = None
 
 
 def _as_probability(value: object, name: str) -> Fraction | float:
@@ -227,35 +224,26 @@ def _as_probability(value: object, name: str) -> Fraction | float:
     return value
 
 
-def validate_spec(spec: AgentSpec) -> None:
-    """Raise ValueError naming the offending field for any invalid spec."""
-    if spec.kind not in AGENT_KINDS:
-        raise ValueError(
-            f"unknown agent kind {spec.kind!r}; valid kinds: {', '.join(AGENT_KINDS)}")
-    allowed = _PARAMETERS.get(spec.kind, ())
-    for key in spec.parameters:
-        if key not in allowed:
-            raise ValueError(f"{spec.kind} does not accept parameter {key!r}")
-    if spec.kind == "CFRTrained":
-        if "profile" not in spec.parameters:
-            raise ValueError("CFRTrained requires parameter 'profile'")
-        if not isinstance(spec.parameters["profile"], StrategyProfile):
-            raise ValueError("CFRTrained parameter 'profile' must be a StrategyProfile")
-    if spec.kind == "HonestNoBluff" and "king_bet" in spec.parameters:
-        _as_probability(spec.parameters["king_bet"], "king_bet")
-    if spec.kind == "FrequencyModeler" and "smoothing" in spec.parameters:
-        _as_smoothing(spec.parameters["smoothing"])
-
-
 def make_agent(spec: AgentSpec) -> Agent:
-    """Validate an AgentSpec and construct the agent it describes.  Pure:
-    it reads no file, and equal specs give agents that play alike."""
-    validate_spec(spec)
-    kind = spec.kind
+    """Construct the agent an AgentSpec describes.  Raises ValueError naming
+    the offending field for an unknown kind, a parameter the kind does not
+    take, a CFRTrained spec without a StrategyProfile, a king_bet outside
+    [0, 1] or a smoothing that is not finite and > 0.  Pure: it reads no
+    file, and equal specs give agents that play alike."""
+    kind, parameters = spec.kind, spec.parameters
+    if kind not in AGENT_KINDS:
+        raise ValueError(f"unknown agent kind {kind!r}; valid kinds: {', '.join(AGENT_KINDS)}")
+    for key in parameters:
+        if key not in _PARAMETERS[kind]:
+            raise ValueError(f"{kind} does not accept parameter {key!r}")
     if kind == "NashLB" or kind == "NashUB":
         return ProfileAgent(strategy.nash_profile(kind[-2:]), kind)
     if kind == "CFRTrained":
-        return ProfileAgent(spec.parameters["profile"], kind)
+        if "profile" not in parameters:
+            raise ValueError("CFRTrained requires parameter 'profile'")
+        if not isinstance(parameters["profile"], StrategyProfile):
+            raise ValueError("CFRTrained parameter 'profile' must be a StrategyProfile")
+        return ProfileAgent(parameters["profile"], kind)
     if kind == "UniformRandom":
         return ProfileAgent(strategy.constant_profile(Fraction(1, 2)), kind)
     if kind == "AlwaysAggressive":
@@ -263,7 +251,7 @@ def make_agent(spec: AgentSpec) -> Agent:
     if kind == "AlwaysPassive":
         return ProfileAgent(strategy.constant_profile(Fraction(0)), kind)
     if kind == "HonestNoBluff":
-        king_bet = _as_probability(spec.parameters.get("king_bet", 0.5), "king_bet")
+        king_bet = _as_probability(parameters.get("king_bet", 0.5), "king_bet")
         return ProfileAgent(build_honest_profile(king_bet), kind)
     assert kind == "FrequencyModeler"
-    return FrequencyModeler(spec.parameters.get("smoothing", 1.0))
+    return FrequencyModeler(parameters.get("smoothing", 1.0))

@@ -20,10 +20,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
-from . import equilibrium, harness, strategy
-from .agents import AgentSpec, validate_spec
+from . import agents, equilibrium, harness, strategy
+from .agents import AgentSpec
 from .strategy import ProfileFormatError, StrategyProfile
 
 
@@ -113,7 +114,7 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _parse_agent(entry: object, where: str, directory: str) -> tuple[AgentSpec, Optional[str]]:
+def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
     _require(isinstance(entry, dict), f"{where}: expected an object")
     unknown = set(entry) - {"kind", "name", "parameters"}
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
@@ -130,73 +131,49 @@ def _parse_agent(entry: object, where: str, directory: str) -> tuple[AgentSpec, 
         _require(isinstance(path, str), f"{where}: CFRTrained parameter 'profile' must be a path string")
         path = os.path.join(directory, path)
         parameters = {**parameters, "profile": _read_profile(path, where)}
-    spec = AgentSpec(entry["kind"], parameters)
+    spec = AgentSpec(entry["kind"], parameters, name)
     try:
-        validate_spec(spec)
+        agents.make_agent(spec)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return spec, name
+    return spec
 
 
-def load_config(path: str, min_agents: int = 3,
-                max_agents: Optional[int] = None) -> tuple[list[AgentSpec], list[str], harness.MatchConfig]:
-    """Parse and validate a tournament/study configuration file, reading
-    each CFRTrained profile file into its spec.  A relative profile path is
-    taken relative to the configuration file's directory."""
+def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
+    """Parse a tournament or variance-study config file into a pool of at
+    least 3 specs, each CFRTrained profile file (a path relative to the
+    config's directory) read into its spec, and a MatchConfig.  A failure
+    of agents.make_agent, harness.pool_labels or harness.MatchConfig, which
+    own the rules, is a ConfigError naming the field."""
     text = _read_text(path)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
-    allowed = {"agents", "hands_per_match", "matches_per_permutation",
-               "master_seed", "normalization_divisor"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {"agents"} - {f.name for f in fields(harness.MatchConfig)}
     _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
     _require("agents" in raw, f"{path}: missing required key 'agents'")
     _require("master_seed" in raw, f"{path}: missing required key 'master_seed'")
-    _require(isinstance(raw["agents"], list), "agents: expected a list")
-    _require(len(raw["agents"]) >= min_agents, f"agents: need at least {min_agents}, got {len(raw['agents'])}")
-    if max_agents is not None:
-        _require(len(raw["agents"]) <= max_agents,
-                 f"agents: need at most {max_agents}, got {len(raw['agents'])}")
-    _require(isinstance(raw["master_seed"], int) and not isinstance(raw["master_seed"], bool),
-             "master_seed: expected an integer")
-
-    pool = []
-    names: list[Optional[str]] = []
-    for i, entry in enumerate(raw["agents"]):
-        spec, name = _parse_agent(entry, f"agents[{i}]", os.path.dirname(path))
-        pool.append(spec)
-        names.append(name)
-    defaults = harness.default_labels(pool)
-    labels = [name if name is not None else default for name, default in zip(names, defaults)]
-    _require(len(set(labels)) == len(labels), "agents: labels must be unique; add 'name' keys")
-
-    def _int_field(key: str, default: int) -> int:
-        value = raw.get(key, default)
-        _require(isinstance(value, int) and not isinstance(value, bool), f"{key}: expected an integer")
-        return value
-
-    divisor = raw.get("normalization_divisor", 100_000)
-    _require(isinstance(divisor, (int, float)) and not isinstance(divisor, bool),
-             "normalization_divisor: expected a number")
+    entries = raw.pop("agents")
+    _require(isinstance(entries, list), "agents: expected a list")
+    _require(len(entries) >= 3, f"agents: need at least 3, got {len(entries)}")
+    pool = [_parse_agent(e, f"agents[{i}]", os.path.dirname(path)) for i, e in enumerate(entries)]
     try:
-        config = harness.MatchConfig(
-            master_seed=raw["master_seed"],
-            hands_per_match=_int_field("hands_per_match", 3000),
-            matches_per_permutation=_int_field("matches_per_permutation", 10),
-            normalization_divisor=float(divisor),
-        )
+        harness.pool_labels(pool)
+    except ValueError as exc:
+        raise ConfigError(f"agents: {exc}; add 'name' keys") from exc
+    try:
+        config = harness.MatchConfig(**raw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return pool, labels, config
+    return pool, config
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
-    pool, labels, config = load_config(args.config)
+    pool, config = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    report = harness.run_tournament(pool, config, labels=labels)
+    report = harness.run_tournament(pool, config)
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
@@ -223,19 +200,11 @@ def cmd_variance_study(args: argparse.Namespace) -> int:
     if args.replications < 30:
         print(f"--replications must be >= 30, got {args.replications}", file=sys.stderr)
         return 2
-    triple, labels, config = load_config(args.config, min_agents=3, max_agents=3)
+    triple, config = load_config(args.config)
+    _require(len(triple) == 3, f"agents: a variance study needs exactly 3, got {len(triple)}")
     study = harness.variance_study(triple, config, args.replications)
-    record = {
-        "agents": labels,
-        "studied_agent": labels[0],
-        "replications": study.replications,
-        "hands_per_match": study.hands_per_match,
-        "duplicate_mean": study.duplicate_mean,
-        "independent_mean": study.independent_mean,
-        "duplicate_variance": study.duplicate_variance,
-        "independent_variance": study.independent_variance,
-        "ratio": study.ratio,
-    }
+    labels = harness.pool_labels(triple)
+    record = {"agents": labels, "studied_agent": labels[0], **asdict(study)}
     if args.out:
         _write_text(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")

@@ -23,8 +23,9 @@ import itertools
 import json
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+import sys
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,7 +49,10 @@ _DOMAIN_STUDY_INDEP_DECISIONS = 5
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Protocol parameters shared by every match of a tournament."""
+    """Protocol parameters shared by every match of a tournament.  Raises
+    ValueError naming the field for a seed or count that is not an int > its
+    bound (a bool is no int) and for a divisor that is not a finite number
+    > 0.  normalization_divisor is stored as a float."""
 
     master_seed: int
     hands_per_match: int = 3000
@@ -56,16 +60,19 @@ class MatchConfig:
     normalization_divisor: float = 100_000.0
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.hands_per_match < 1:
-            raise ValueError(f"hands_per_match must be >= 1, got {self.hands_per_match}")
-        if self.matches_per_permutation < 1:
-            raise ValueError(
-                f"matches_per_permutation must be >= 1, got {self.matches_per_permutation}")
-        if not (math.isfinite(self.normalization_divisor) and self.normalization_divisor > 0):
-            raise ValueError(
-                f"normalization_divisor must be finite and > 0, got {self.normalization_divisor}")
+        for key, low in ("master_seed", 0), ("hands_per_match", 1), ("matches_per_permutation", 1):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+        divisor = self.normalization_divisor
+        if not isinstance(divisor, (int, float)) or isinstance(divisor, bool):
+            raise ValueError(f"normalization_divisor must be a number, got {divisor!r}")
+        # Not math.isfinite, which overflows on an int too large for a float.
+        if not 0 < divisor <= sys.float_info.max:
+            raise ValueError(f"normalization_divisor must be finite and > 0, got {divisor}")
+        object.__setattr__(self, "normalization_divisor", float(divisor))
 
 
 @dataclass
@@ -296,16 +303,22 @@ class TournamentReport:
     groupings: list[GroupingResult]
 
 
-def default_labels(specs: Sequence[AgentSpec]) -> list[str]:
-    """Stable display labels: the kind, suffixed #1, #2, ... when the pool
-    repeats it."""
-    kinds = [spec.kind for spec in specs]
-    return [kind if kinds.count(kind) == 1 else f"{kind}#{kinds[:i + 1].count(kind)}"
-            for i, kind in enumerate(kinds)]
+def pool_labels(pool: Sequence[AgentSpec]) -> list[str]:
+    """Each pool entry's label: its name, or else its kind, suffixed #1,
+    #2, ... when the pool repeats that kind (named entries included in the
+    count).  Raises ValueError naming a label that two entries share."""
+    kinds = [spec.kind for spec in pool]
+    labels: list[str] = []
+    for i, (spec, kind) in enumerate(zip(pool, kinds)):
+        numbered = kind if kinds.count(kind) == 1 else f"{kind}#{kinds[:i + 1].count(kind)}"
+        label = numbered if spec.name is None else spec.name
+        if label in labels:
+            raise ValueError(f"label {label!r} names more than one agent")
+        labels.append(label)
+    return labels
 
 
 def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
-                   labels: Optional[Sequence[str]] = None,
                    keep_hands: bool = True) -> TournamentReport:
     """Run every 3-subset of the pool through the duplicate-match protocol.
 
@@ -315,16 +328,12 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     the hands of each set's matches once it is tallied, to bound memory
     on large tournaments.  Each pool agent is built once by make_agent,
     which validates its spec; a stateful one is copied from that unplayed
-    instance for every match.
+    instance for every match.  The agents are reported under pool_labels.
     """
     if len(pool) < 3:
         raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
     built = [make_agent(spec) for spec in pool]
-    labels = list(labels) if labels is not None else default_labels(pool)
-    if len(labels) != len(pool):
-        raise ValueError(f"got {len(labels)} labels for a pool of {len(pool)}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("agent labels must be unique")
+    labels = pool_labels(pool)
 
     grouping_results: list[GroupingResult] = []
     for indices in itertools.combinations(range(len(pool)), 3):
@@ -378,24 +387,10 @@ def report_csv(report: TournamentReport) -> str:
 def report_json(report: TournamentReport) -> str:
     """Structured report with full per-grouping detail."""
     payload = {
-        "config": {
-            "master_seed": report.config.master_seed,
-            "hands_per_match": report.config.hands_per_match,
-            "matches_per_permutation": report.config.matches_per_permutation,
-            "normalization_divisor": report.config.normalization_divisor,
-        },
-        "agents": [
-            {
-                "agent": r.label,
-                "groupings": r.groupings,
-                "hands": r.hands,
-                "total_chips": r.total_chips,
-                "chips_per_hand": r.chips_per_hand,
-                "normalized_total": r.normalized_total,
-                "std_error": r.std_error,
-            }
-            for r in report.agents
-        ],
+        "config": asdict(report.config),
+        # Every AgentResult field, its label under the key "agent".
+        "agents": [{"agent" if key == "label" else key: value for key, value in asdict(r).items()}
+                   for r in report.agents],
         "groupings": [
             {
                 "pool_indices": list(g.pool_indices),
@@ -422,8 +417,13 @@ _TAIL_OUTCOME = {tail: o for o, tail in enumerate(_ROW_TAILS)}
 def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     """Serialize a match to text: comment header, then one CSV row per hand
     (index, per-seat cards, action string, per-seat net chips), each
-    hand's row text looked up from its outcome."""
-    lines = [f"# {line}\n" for line in header]
+    hand's row text looked up from its outcome.  Raises ValueError naming a
+    header entry with a line break, which replay_match_log could not read."""
+    lines = []
+    for line in header:
+        if line.splitlines() not in ([], [line]):
+            raise ValueError(f"header entry {line!r} contains a line break")
+        lines.append(f"# {line}\n")
     lines.append(f"# seats: {','.join(record.agent_names)}\n{','.join(LOG_COLUMNS)}\n")
     lines.extend([f"{i},{_ROW_TAILS[o]}\n" for i, o in enumerate(record.hands)])
     return "".join(lines)

@@ -247,6 +247,9 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     {"agents": [{"kind": "NashLB", "name": "Nash\nLB"},
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
+    {"hands_per_match": 2.5},
+    {"master_seed": True},
+    {"normalization_divisor": "7"},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {

@@ -42,10 +42,22 @@ def test_match_config_validation():
         MatchConfig(master_seed=0, matches_per_permutation=0)
     with pytest.raises(ValueError):
         MatchConfig(master_seed=0, normalization_divisor=0.0)
+    with pytest.raises(ValueError, match="hands_per_match"):
+        MatchConfig(master_seed=0, hands_per_match=2.5)
+    with pytest.raises(ValueError, match="master_seed"):
+        MatchConfig(master_seed=True)
+    with pytest.raises(ValueError, match="matches_per_permutation"):
+        MatchConfig(master_seed=0, matches_per_permutation="2")
+    with pytest.raises(ValueError, match="normalization_divisor"):
+        MatchConfig(master_seed=0, normalization_divisor="7")
+    with pytest.raises(ValueError, match="finite"):  # an int with no float
+        MatchConfig(master_seed=0, normalization_divisor=10 ** 400)
     defaults = MatchConfig(master_seed=0)
     assert defaults.hands_per_match == 3000
     assert defaults.matches_per_permutation == 10
     assert defaults.normalization_divisor == 100_000.0
+    divisor = MatchConfig(master_seed=0, normalization_divisor=7).normalization_divisor
+    assert type(divisor) is float and divisor == 7.0
 
 
 def test_deal_sequence_is_deterministic_and_valid():
@@ -202,17 +214,17 @@ def test_tournament_groupings_are_seed_stable_under_pool_growth():
 
 def test_default_labels_disambiguate_repeats():
     specs = [AgentSpec("NashLB"), AgentSpec("UniformRandom"),
-             AgentSpec("NashLB")]
-    assert harness.default_labels(specs) == ["NashLB#1", "UniformRandom",
-                                             "NashLB#2"]
+             AgentSpec("NashLB"), AgentSpec("NashLB", name="lb")]
+    assert harness.pool_labels(specs) == ["NashLB#1", "UniformRandom",
+                                          "NashLB#2", "lb"]
 
 
 def test_tournament_rejects_small_pools_and_bad_labels():
     with pytest.raises(ValueError, match="pool"):
         harness.run_tournament(list(TRIPLE[:2]), small_config())
-    with pytest.raises(ValueError, match="label"):
-        harness.run_tournament(list(TRIPLE), small_config(),
-                               labels=["a", "a", "b"])
+    named = [AgentSpec(spec.kind, name=name) for spec, name in zip(TRIPLE, "aab")]
+    with pytest.raises(ValueError, match="label 'a'"):
+        harness.run_tournament(named, small_config())
 
 
 def test_match_log_round_trip():
@@ -222,6 +234,14 @@ def test_match_log_round_trip():
     assert text.startswith("# grouping 0-1-2\n# set 0\n")
     assert "# seats: NashLB,UniformRandom,AlwaysAggressive" in text
     assert harness.replay_match_log(text) == record
+
+
+@pytest.mark.parametrize("entry", ["note\nsecond line", "note\n", "\r", "a\u2028b"])
+def test_match_log_rejects_a_header_line_break(entry):
+    record = harness.run_match(lineup(TRIPLE), harness.deal_sequence(21, (0,), 5), 21)
+    with pytest.raises(ValueError, match="header entry"):
+        harness.match_log(record, header=["set 0", entry])
+    assert harness.replay_match_log(harness.match_log(record, header=["", "set 0"])) == record
 
 
 def test_replay_detects_tampered_chips():
