@@ -175,14 +175,10 @@ class FrequencyModeler(Agent):
         # card-independent model has no use for the revealed ones.
         if self._seat is None:
             return
-        n = 0
-        for token in history:
-            aggressive = token in (game.BET, game.CALL)
+        for n, action in game.PATHS[game.NODE_ID[history]]:
             actor = DECISION_SEAT[n]
             if actor != self._seat:
-                counts = self._counts.setdefault((actor, DECISION_SITUATION[n]), [0, 0])
-                counts[aggressive] += 1
-            n = AGGRESSIVE_CHILD[n] if aggressive else PASSIVE_CHILD[n]
+                self._counts.setdefault((actor, DECISION_SITUATION[n]), [0, 0])[action] += 1
 
 
 # Every agent kind, with the parameters it accepts.

@@ -148,7 +148,7 @@ def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     text = _read_text(path)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), f"{path}: top level must be an object")
     unknown = set(raw) - {"agents"} - {f.name for f in fields(harness.MatchConfig)}

@@ -1,8 +1,8 @@
 """Exact game values, best responses, equilibrium gap, and CFR training.
 
 Every routine here walks the compiled tree of `game`: node ids in
-parent-before-child order, the child tables, the per-deal infoset index
-and the payoff array. None of them touches a history string.
+parent-before-child order, the child tables and root paths, the per-deal
+infoset index and the payoff array. None of them touches a history string.
 
 Verification runs in exact rational arithmetic: profile probabilities are
 converted to `Fraction` (exact even for floats), expectations are taken
@@ -20,10 +20,10 @@ own actions. Two independent routes compute the best response value:
 `CfrTrainer` implements vanilla counterfactual regret minimization:
 every iteration enumerates all 24 deals, updates all three seats'
 regrets simultaneously under the regret-matching policy, and accumulates
-the reach-weighted average strategy. Each sweep is two fixed-order passes
-over the node tables, reaches top-down and then values bottom-up, each
-vectorized across deals with numpy. Training is fully deterministic
-(there is no sampling).
+the reach-weighted average strategy. Each sweep reads every decision
+node's reaches off its root path in one numpy gather, then backs values
+up the tree in one bottom-up pass, both vectorized across deals.
+Training is fully deterministic (there is no sampling).
 """
 
 from __future__ import annotations
@@ -50,19 +50,6 @@ _INFOSET = game.INFOSET_INDEX.tolist()
 _PAYOFFS = game.PAYOFFS.tolist()
 
 
-def _terminal_paths() -> list[tuple[tuple[int, bool], ...]]:
-    """For each terminal in node order, the (decision node, aggressive?)
-    pairs on its path from the root."""
-    paths: list[tuple[tuple[int, bool], ...]] = [()] * _N_NODES
-    for n in range(N_DECISIONS):
-        paths[PASSIVE_CHILD[n]] = paths[n] + ((n, False),)
-        paths[AGGRESSIVE_CHILD[n]] = paths[n] + ((n, True),)
-    return paths[N_DECISIONS:]
-
-
-_TERMINAL_PATHS = _terminal_paths()
-
-
 def _action_probabilities(profile: StrategyProfile) -> list[tuple[Fraction, Fraction]]:
     """(passive, aggressive) probabilities per infoset, in all_infoset_keys()
     order. Fraction(float) is exact, so float-valued profiles verify
@@ -76,16 +63,12 @@ def _reaches(probabilities: list[tuple[Fraction, Fraction]], deal: int,
     """Chance-weighted probability of reaching each of the 25 nodes in deal
     number `deal`, in node order; the actions of seat `skip` count as
     certain."""
-    reach = [_CHANCE] + [_ZERO] * (_N_NODES - 1)
     infosets = _INFOSET[deal]
-    for n in range(N_DECISIONS):
-        r = reach[n]
-        if DECISION_SEAT[n] == skip:
-            reach[PASSIVE_CHILD[n]] = reach[AGGRESSIVE_CHILD[n]] = r
-        else:
-            passive, aggressive = probabilities[infosets[n]]
-            reach[PASSIVE_CHILD[n]] = r * passive
-            reach[AGGRESSIVE_CHILD[n]] = r * aggressive
+    reach = [_CHANCE]
+    for path in game.PATHS[1:]:
+        m, action = path[-1]  # the parent, and the action taken there
+        r = reach[m]
+        reach.append(r if DECISION_SEAT[m] == skip else r * probabilities[infosets[m]][action])
     return reach
 
 
@@ -178,9 +161,9 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
     # terminal t.
     masks = [
         [m for m in range(16)
-         if all(bool(m >> (DECISION_SITUATION[n] - 1) & 1) == aggressive
-                for n, aggressive in path if DECISION_SEAT[n] == seat)]
-        for path in _TERMINAL_PATHS
+         if all(m >> (DECISION_SITUATION[n] - 1) & 1 == action
+                for n, action in path if DECISION_SEAT[n] == seat)]
+        for path in game.PATHS[N_DECISIONS:]
     ]
     # tables[c][m] = value of playing 4-bit sub-strategy m when holding
     # card index c, summed over consistent deals and terminals.
@@ -225,7 +208,8 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
 def epsilon(profile: StrategyProfile) -> Fraction:
     """Largest unilateral gain any seat can get by deviating; exactly
     zero iff `profile` is a Nash equilibrium."""
-    return epsilon_report(profile).epsilon
+    evs = expected_values(profile)
+    return max(best_response(profile, seat).br_value - evs[seat - 1] for seat in SEATS)
 
 
 @dataclass
@@ -302,8 +286,16 @@ _N_DEALS = len(DEALS)
 _CHANCE_F = 1.0 / _N_DEALS
 _DECISIONS = np.arange(N_DECISIONS)
 _ACTOR = np.array(DECISION_SEAT) - 1
-_CHILDREN = list(zip(PASSIVE_CHILD, AGGRESSIVE_CHILD))
 _CHILD_NODES = np.array([PASSIVE_CHILD, AGGRESSIVE_CHILD])  # (action, decision node)
+_ONE_ROW = np.ones((1, _N_DEALS))
+#: (decision node, seat - 1, slot) -> row, in _ONE_ROW stacked on the
+#: flattened probability[action, decision node], of the seat's slot-th
+#: action on the node's root path: 1 + action * 12 + m for an action at
+#: node m, or row 0 (the ones) where the seat has no such action.
+_OWN_ACTIONS = np.array([
+    [([1 + a * N_DECISIONS + m for m, a in path if DECISION_SEAT[m] == seat] + [0, 0])[:2]
+     for seat in SEATS]
+    for path in game.PATHS[:N_DECISIONS]])
 #: (decision node, deal) -> infoset index.
 _NODE_INFOSETS = game.INFOSET_INDEX.T
 #: (terminal, deal, seat - 1) -> net chips.
@@ -315,8 +307,9 @@ class CfrTrainer:
 
     State is the classic regret/average-strategy pair per infoset and
     action. The current policy is regret matching on the positive part of
-    the cumulative regrets, uniform where none are positive. Full deal
-    enumeration leaves nothing to sample, so training is deterministic.
+    the cumulative regrets, uniform where none are positive, and reaches
+    come from root paths. Full deal enumeration leaves nothing to sample,
+    so training is deterministic.
     """
 
     def __init__(self) -> None:
@@ -344,21 +337,17 @@ class CfrTrainer:
     def _sweep(self) -> None:
         # probability[action, decision node, deal] under regret matching.
         probability = self.current_policy().T[:, _NODE_INFOSETS]
-        # reach[node, seat - 1, deal]: each seat's own share of the
-        # probability of reaching the node, parents first.
-        reach = np.empty((_N_NODES, 3, _N_DEALS))
-        reach[0] = 1.0
-        for n, actor in enumerate(DECISION_SEAT):
-            for child, weight in zip(_CHILDREN[n], probability[:, n]):
-                reach[child] = reach[n]
-                reach[child, actor - 1] *= weight
+        # reach[decision node, seat - 1, deal]: the product of the seat's
+        # own (at most two) action probabilities on the node's root path.
+        # 1.0 * p1 * p2 == p1 * p2, so a parents-first walk gives the same.
+        slots = np.concatenate((_ONE_ROW, probability.reshape(-1, _N_DEALS)))[_OWN_ACTIONS]
+        reach = slots[:, :, 0] * slots[:, :, 1]
         # value[node, deal, seat - 1]: expected chips, children first.
         value = np.empty((_N_NODES, _N_DEALS, 3))
         value[N_DECISIONS:] = _TERMINAL_PAYOFFS
         for n in reversed(range(N_DECISIONS)):
-            passive, aggressive = _CHILDREN[n]
-            value[n] = (probability[_PASSIVE, n, :, None] * value[passive]
-                        + probability[_AGGRESSIVE, n, :, None] * value[aggressive])
+            value[n] = (probability[_PASSIVE, n, :, None] * value[PASSIVE_CHILD[n]]
+                        + probability[_AGGRESSIVE, n, :, None] * value[AGGRESSIVE_CHILD[n]])
 
         # Every infoset belongs to one decision node, so each one takes its
         # six updates in deal order, whatever the order of the nodes.

@@ -155,13 +155,12 @@ def infoset_key(seat: int, card: str, history: str) -> InfoSetKey:
 
 def all_infoset_keys() -> tuple[InfoSetKey, ...]:
     """The 48 information sets, sorted by (seat, card index, situation)."""
-    keys = [
-        InfoSetKey(seat, card, sit)
-        for seat in SEATS
-        for card in CARDS
-        for sit in (1, 2, 3, 4)
-    ]
-    return tuple(sorted(keys, key=InfoSetKey.sort_index))
+    return _INFOSET_KEYS
+
+
+# CARDS is in card-index order, so these are already sorted.
+_INFOSET_KEYS = tuple(InfoSetKey(seat, card, sit)
+                      for seat in SEATS for card in CARDS for sit in (1, 2, 3, 4))
 
 
 def showdown_seats(history: str) -> tuple[int, ...]:
@@ -239,25 +238,34 @@ N_DECISIONS = len(DECISION_HISTORIES)
 N_TERMINALS = len(TERMINAL_HISTORIES)
 _KEY_INDEX = {key: i for i, key in enumerate(all_infoset_keys())}
 
-
-def _decision_slot(history: str) -> int:
-    """How many decisions the acting seat has already made in the hand:
-    0 for its first, 1 for its second."""
-    seat = _DECISION_POINTS[history][0]
-    return sum(_DECISION_POINTS[history[:j]][0] == seat for j in range(len(history)))
-
-
 #: (passive, aggressive) actions at each decision node.
 DECISION_ACTIONS = tuple(action_pair(h) for h in DECISION_HISTORIES)
-#: Per decision node: acting seat (1-3), betting situation (1-4), decision
-#: slot (0 or 1), and the node ids after the passive (K or F) and the
-#: aggressive (B or C) action.  Python ints, which walks that visit one
-#: node at a time index fast and combine exactly with Fraction.
+#: Per decision node: acting seat (1-3), betting situation (1-4), the node
+#: ids after the passive (K or F) and the aggressive (B or C) action, and
+#: the slot: how many decisions the acting seat made before it (0 or 1).
+#: Python ints, which walks that visit one node at a time index fast and
+#: combine exactly with Fraction.
 DECISION_SEAT = tuple(_DECISION_POINTS[h][0] for h in DECISION_HISTORIES)
 DECISION_SITUATION = tuple(_DECISION_POINTS[h][1] for h in DECISION_HISTORIES)
-DECISION_SLOT = tuple(_decision_slot(h) for h in DECISION_HISTORIES)
 PASSIVE_CHILD = tuple(NODE_ID[h + p] for h, (p, _) in zip(DECISION_HISTORIES, DECISION_ACTIONS))
 AGGRESSIVE_CHILD = tuple(NODE_ID[h + a] for h, (_, a) in zip(DECISION_HISTORIES, DECISION_ACTIONS))
+
+
+def _root_paths() -> tuple[tuple[tuple[int, int], ...], ...]:
+    paths = [()] * len(NODES)
+    for n, children in enumerate(zip(PASSIVE_CHILD, AGGRESSIVE_CHILD)):
+        for action, child in enumerate(children):
+            paths[child] = paths[n] + ((n, action),)
+    return tuple(paths)
+
+
+#: Per node: the (decision node, action) pairs on its path from the root,
+#: action 0 for passive and 1 for aggressive.
+PATHS = _root_paths()
+DECISION_SLOT = tuple(sum(DECISION_SEAT[m] == seat for m, _ in PATHS[n])
+                      for n, seat in enumerate(DECISION_SEAT))
+#: Per terminal: the seats that reveal at showdown (showdown_seats).
+SHOWDOWN_SEATS = tuple(showdown_seats(h) for h in TERMINAL_HISTORIES)
 #: (deal, decision node) -> index in all_infoset_keys() of the acting
 #: seat's information set.
 INFOSET_INDEX = np.array([

@@ -191,7 +191,7 @@ def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray)
         terminals.append(n)
         if observers:
             h = NODES[n]
-            revealed = {s: deal[s - 1] for s in game.showdown_seats(h)}
+            revealed = {s: deal[s - 1] for s in game.SHOWDOWN_SEATS[n - N_DECISIONS]}
             for agent in observers:
                 agent.observe_result(revealed, h, game.PAYOFF_TABLE[deal][h])
     return np.array(terminals, dtype=np.intp)

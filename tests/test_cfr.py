@@ -1,10 +1,11 @@
 """Vanilla CFR trainer tests.
 
 The trainer enumerates all 24 deals each iteration and updates all three
-seats simultaneously, so training is deterministic.  Each sweep is a
-top-down reach pass and a bottom-up value pass over the compiled tree in
-`game`; the digest test pins its float results bit for bit.  Convergence
-bounds below were frozen from measured runs with margin.
+seats simultaneously, so training is deterministic.  Each sweep gathers
+every decision node's reaches from its root path in `game.PATHS` and
+backs values up the compiled tree in one bottom-up pass; the digest test
+pins its float results bit for bit.  Convergence bounds below were frozen
+from measured runs with margin.
 """
 
 from __future__ import annotations

@@ -267,6 +267,19 @@ def test_tournament_config_errors(tmp_path, capsys, mutation):
     assert len(stderr.splitlines()) == 1 and stderr.startswith("configuration error: ")
 
 
+def test_overlong_integer_in_config_is_a_config_error(tmp_path, capsys):
+    # json.dumps cannot write an int past Python's conversion limit, and
+    # json.loads raises a plain ValueError on reading one.
+    path = tmp_path / "config.json"
+    path.write_text('{"agents": [{"kind": "NashLB"}, {"kind": "UniformRandom"}, '
+                    '{"kind": "AlwaysAggressive"}], "master_seed": ' + "9" * 5000 + "}",
+                    encoding="utf-8")
+    code, _, stderr = run(capsys, ["tournament", "--config", str(path),
+                                   "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("configuration error: ")
+
+
 def test_unknown_subcommand_and_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -191,6 +191,7 @@ def test_tree_walks_match_oracle_and_enumeration(profile):
         assert br.br_value == eq.pure_strategy_oracle(profile, seat).br_value
         deviated = strategy.StrategyProfile({**profile.aggressive, **br.br_strategy})
         assert eq.expected_values(deviated)[seat - 1] == br.br_value
+    assert eq.epsilon(profile) == eq.epsilon_report(profile).epsilon
 
 
 def test_tree_walks_call_no_string_helpers(monkeypatch):
@@ -208,4 +209,9 @@ def test_tree_walks_call_no_string_helpers(monkeypatch):
     agents = [make_agent(AgentSpec("UniformRandom"))] * 3
     record = harness.run_match(agents, harness.deal_sequence(3, (0,), 200), 3)
     assert len(record.hands) == 200
+    assert harness.replay_match_log(harness.match_log(record)) == record
+    # A scalar match with an observing FrequencyModeler, and its replay.
+    agents = [make_agent(AgentSpec(kind)) for kind in ("FrequencyModeler", "NashLB", "UniformRandom")]
+    record = harness.run_match(agents, harness.deal_sequence(3, (1,), 200), 3)
+    assert agents[0]._counts
     assert harness.replay_match_log(harness.match_log(record)) == record

@@ -222,6 +222,9 @@ def test_compiled_tables_match_string_api():
             expected = game.terminal_payoffs(deal, h) if game.is_terminal(h) else (0, 0, 0)
             assert tuple(game.PAYOFFS[d, n]) == expected
     assert game.DECISION_ACTIONS == tuple(map(game.action_pair, game.DECISION_HISTORIES))
+    for m, h in enumerate(game.NODES):
+        assert "".join(game.DECISION_ACTIONS[n][action] for n, action in game.PATHS[m]) == h
+    assert game.SHOWDOWN_SEATS == tuple(map(game.showdown_seats, game.TERMINAL_HISTORIES))
     assert len(game.OUTCOMES) == len(game.OUTCOME_PAYOFFS) == 24 * 13
     for o, (deal, history) in enumerate(game.OUTCOMES):
         assert divmod(o, 13) == (game.DEALS.index(deal), game.TERMINAL_HISTORIES.index(history))
