@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -65,6 +66,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        print(f"--threshold must be a finite number >= 0, got {args.threshold:g}", file=sys.stderr)
+        return 2
     text = _read_text(args.profile)
     try:
         profile = strategy.parse_profile(text)
@@ -120,10 +124,6 @@ def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
     _require("kind" in entry, f"{where}: missing required key 'kind'")
     _require(isinstance(entry["kind"], str), f"{where}.kind: expected a string")
-    name = entry.get("name")
-    if name is not None:
-        _require(isinstance(name, str) and name != "", f"{where}.name: expected a non-empty string")
-        _require(name.splitlines() == [name], f"{where}.name: must not contain a line break")
     parameters = entry.get("parameters", {})
     _require(isinstance(parameters, dict), f"{where}.parameters: expected an object")
     if entry["kind"] == "CFRTrained" and "profile" in parameters:
@@ -131,7 +131,7 @@ def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
         _require(isinstance(path, str), f"{where}: CFRTrained parameter 'profile' must be a path string")
         path = os.path.join(directory, path)
         parameters = {**parameters, "profile": _read_profile(path, where)}
-    spec = AgentSpec(entry["kind"], parameters, name)
+    spec = AgentSpec(entry["kind"], parameters, entry.get("name"))
     try:
         agents.make_agent(spec)
     except ValueError as exc:
@@ -162,7 +162,7 @@ def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     try:
         harness.pool_labels(pool)
     except ValueError as exc:
-        raise ConfigError(f"agents: {exc}; add 'name' keys") from exc
+        raise ConfigError(str(exc)) from exc
     try:
         config = harness.MatchConfig(**raw)
     except ValueError as exc:
@@ -178,8 +178,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
             for perm_idx, match in enumerate(dup.matches):
-                perm = harness.PERMUTATIONS[perm_idx]
-                seating = ",".join(grouping.labels[perm[s]] for s in range(3))
+                seating = ",".join(match.agent_names)
                 log = harness.match_log(match, header=[
                     f"grouping: {a}-{b}-{c} ({','.join(grouping.labels)})",
                     f"set: {set_idx}",

@@ -7,13 +7,14 @@ infoset index and the payoff array. None of them touches a history string.
 Verification runs in exact rational arithmetic: profile probabilities are
 converted to `Fraction` (exact even for floats), expectations are taken
 over the 24 equiprobable deals, and a profile is an equilibrium iff its
-gap `epsilon` is exactly zero. One top-down pass (`_reaches`) gives a
-deal's reach probability at every node, optionally leaving out one seat's
-own actions. Two independent routes compute the best response value:
+gap `epsilon` is exactly zero. A seat's payoff is linear in its own
+strategy; one pass over the deals (`_card_tables`) sums, per card the
+seat may hold, its opponent-weighted reach and terminal values, and every
+exact routine reads that table. Two independent routes maximize it:
 
-  * `best_response` backs opponent-reach-weighted values up the tree in
-    reverse node order, once per card of the responding seat, maximizing
-    at each of its own decision nodes (ties go to the passive action);
+  * `best_response` backs each card's row up in reverse node order,
+    maximizing at the seat's own nodes (ties go to the passive action)
+    and, alongside, mixing by the profile to give the seat's value `ev`;
   * `pure_strategy_oracle` enumerates all 2^16 = 65,536 pure strategies
     for the seat over its 16 infosets and evaluates each one exactly.
 
@@ -48,6 +49,7 @@ _N_NODES = len(game.NODES)
 # Python ints: numpy integers do not combine exactly with Fraction.
 _INFOSET = game.INFOSET_INDEX.tolist()
 _PAYOFFS = game.PAYOFFS.tolist()
+_KEY_INDEX = {key: i for i, key in enumerate(game.all_infoset_keys())}
 
 
 def _action_probabilities(profile: StrategyProfile) -> list[tuple[Fraction, Fraction]]:
@@ -58,32 +60,27 @@ def _action_probabilities(profile: StrategyProfile) -> list[tuple[Fraction, Frac
     return [(1 - p, p) for p in aggressive]
 
 
-def _reaches(probabilities: list[tuple[Fraction, Fraction]], deal: int,
-             skip: int = 0) -> list[Fraction]:
-    """Chance-weighted probability of reaching each of the 25 nodes in deal
-    number `deal`, in node order; the actions of seat `skip` count as
-    certain."""
-    infosets = _INFOSET[deal]
-    reach = [_CHANCE]
-    for path in game.PATHS[1:]:
-        m, action = path[-1]  # the parent, and the action taken there
-        r = reach[m]
-        reach.append(r if DECISION_SEAT[m] == skip else r * probabilities[infosets[m]][action])
-    return reach
-
-
-def expected_values(profile: StrategyProfile) -> ValueVector:
-    """Exact per-seat expected net chips per hand under `profile`,
-    over all 24 equiprobable deals. Components sum to zero."""
-    probabilities = _action_probabilities(profile)
-    totals = [_ZERO, _ZERO, _ZERO]
-    for deal, payoffs in enumerate(_PAYOFFS):
-        reach = _reaches(probabilities, deal)
-        for n in range(N_DECISIONS, _N_NODES):
-            if reach[n]:
-                for i in range(3):
-                    totals[i] += reach[n] * payoffs[n][i]
-    return (totals[0], totals[1], totals[2])
+def _card_tables(probabilities: list[tuple[Fraction, Fraction]],
+                 seat: int) -> list[list[Fraction]]:
+    """Per card index of `seat`, a row over the 25 nodes summed over the
+    six deals in which the seat holds that card: at a decision node the
+    chance- and opponent-weighted reach, at a terminal that reach times the
+    seat's payoff. The seat's own actions count as certain."""
+    tables = [[_ZERO] * _N_NODES for _ in CARDS]
+    for deal, cards in enumerate(DEALS):
+        infosets, payoffs = _INFOSET[deal], _PAYOFFS[deal]
+        row = tables[CARD_INDEX[cards[seat - 1]] - 1]
+        row[0] += _CHANCE
+        reach = [_CHANCE]
+        for n, path in enumerate(game.PATHS[1:], start=1):
+            m, action = path[-1]  # the parent, and the action taken there
+            r = reach[m]
+            if r and DECISION_SEAT[m] != seat:
+                r = r * probabilities[infosets[m]][action]
+            reach.append(r)
+            if r:
+                row[n] += r if n < N_DECISIONS else r * payoffs[n][seat - 1]
+    return tables
 
 
 @dataclass
@@ -93,8 +90,9 @@ class BestResponseResult:
     `br_strategy` maps the seat's 16 infosets to a pure (0 or 1)
     aggressive probability. `infoset_values` holds the pair of
     opponent-reach-weighted action values (passive, aggressive) seen at
-    each infoset during the expectimax; `evaluations` is set only by the
-    brute-force oracle.
+    each infoset during the expectimax. `ev` is the seat's own expected
+    value under the profile, from the same backup; `evaluations` is set,
+    and `ev` left None, only by the brute-force oracle.
     """
 
     seat: int
@@ -104,45 +102,52 @@ class BestResponseResult:
         default_factory=dict
     )
     evaluations: int | None = None
+    ev: Fraction | None = None
 
 
 def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     """Expectimax best response for `seat` holding the other seats fixed.
 
-    For each card the seat may hold, values are backed up from the
-    terminals in reverse node order over the deals that share that card,
-    each deal weighted by its opponent-only reach: opponent nodes add
-    their children's values, own nodes take the better child. Exact ties
-    pick the passive action. An own infoset enters `infoset_values` only
-    when some deal reaches it with nonzero opponent weight.
+    Each card's row of `_card_tables` is backed up in reverse node order,
+    two values per node: opponent nodes add their children's values; own
+    nodes take the better child (exact ties pick the passive action) and,
+    for `ev`, mix the children by the profile. An own infoset enters
+    `infoset_values` only when its table entry is nonzero, that is, when
+    some deal reaches it with nonzero opponent weight.
     """
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
     probabilities = _action_probabilities(profile)
-    reaches = [_reaches(probabilities, deal, skip=seat) for deal in range(len(DEALS))]
     chosen: dict[InfoSetKey, Fraction] = {}
     infoset_values: dict[InfoSetKey, tuple[Fraction, Fraction]] = {}
-    total = _ZERO
-    for card in CARDS:
-        deals = [d for d, cards in enumerate(DEALS) if cards[seat - 1] == card]
-        value = [_ZERO] * _N_NODES
-        for n in range(N_DECISIONS, _N_NODES):
-            value[n] = sum((reaches[d][n] * _PAYOFFS[d][n][seat - 1]
-                            for d in deals if reaches[d][n]), _ZERO)
+    total = ev = _ZERO
+    for card, row in zip(CARDS, _card_tables(probabilities, seat)):
+        value, mixed = row[:], row[:]  # the terminals hold their own values
         for n in reversed(range(N_DECISIONS)):
-            v_passive = value[PASSIVE_CHILD[n]]
-            v_aggressive = value[AGGRESSIVE_CHILD[n]]
+            passive, aggressive = PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n]
             if DECISION_SEAT[n] != seat:
-                value[n] = v_passive + v_aggressive
+                value[n] = value[passive] + value[aggressive]
+                mixed[n] = mixed[passive] + mixed[aggressive]
                 continue
             key = InfoSetKey(seat, card, DECISION_SITUATION[n])
-            if any(reaches[d][n] for d in deals):
+            v_passive, v_aggressive = value[passive], value[aggressive]
+            if row[n]:
                 infoset_values[key] = (v_passive, v_aggressive)
             take_aggressive = v_aggressive > v_passive
             chosen[key] = Fraction(1) if take_aggressive else Fraction(0)
             value[n] = v_aggressive if take_aggressive else v_passive
+            p_passive, p_aggressive = probabilities[_KEY_INDEX[key]]
+            mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
         total += value[0]
-    return BestResponseResult(seat, total, chosen, infoset_values)
+        ev += mixed[0]
+    return BestResponseResult(seat, total, chosen, infoset_values, ev=ev)
+
+
+def expected_values(profile: StrategyProfile) -> ValueVector:
+    """Exact per-seat expected net chips per hand under `profile`,
+    over all 24 equiprobable deals: each seat's best-response `ev`.
+    Components sum to zero."""
+    return tuple(best_response(profile, seat).ev for seat in SEATS)
 
 
 def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseResult:
@@ -150,8 +155,10 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
 
     A pure strategy is 16 bits, one per (card, situation) of the seat;
     bit set means the aggressive action. The seat's expected value splits
-    by its own card into four independent 4-bit tables, so each candidate
-    is an exact four-term sum over a common denominator.
+    by its own card into four independent 4-bit tables, each summing the
+    card's `_card_tables` terminal row over the terminals a sub-strategy
+    can reach, so each candidate is an exact four-term sum over a common
+    denominator.
     """
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
@@ -166,50 +173,35 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
         for path in game.PATHS[N_DECISIONS:]
     ]
     # tables[c][m] = value of playing 4-bit sub-strategy m when holding
-    # card index c, summed over consistent deals and terminals.
-    probabilities = _action_probabilities(profile)
-    tables = [[_ZERO] * 16 for _ in CARDS]
-    for deal, cards in enumerate(DEALS):
-        table = tables[CARD_INDEX[cards[seat - 1]] - 1]
-        reach = _reaches(probabilities, deal, skip=seat)
-        for n, compatible in enumerate(masks, start=N_DECISIONS):
-            weight = reach[n] * _PAYOFFS[deal][n][seat - 1]
-            if weight == 0:
-                continue
-            for m in compatible:
-                table[m] += weight
+    # card index c, summed over consistent terminals.
+    tables = []
+    for row in _card_tables(_action_probabilities(profile), seat):
+        table = [_ZERO] * 16
+        for weight, compatible in zip(row[N_DECISIONS:], masks):
+            if weight:
+                for m in compatible:
+                    table[m] += weight
+        tables.append(table)
 
     denom = math.lcm(*(v.denominator for row in tables for v in row))
-    ints = [[int(v * denom) for v in row] for row in tables]
-    t_j, t_q, t_k, t_a = ints
-
-    values = [
-        t_j[m & 15] + t_q[m >> 4 & 15] + t_k[m >> 8 & 15] + t_a[m >> 12]
-        for m in range(1 << 16)
-    ]
+    t_j, t_q, t_k, t_a = [[int(v * denom) for v in row] for row in tables]
+    values = [t_j[m & 15] + t_q[m >> 4 & 15] + t_k[m >> 8 & 15] + t_a[m >> 12]
+              for m in range(1 << 16)]
     # max() keeps the first maximizer; ascending masks make that the
     # candidate with aggressive bits only where they are forced.
     best_mask = max(range(1 << 16), key=values.__getitem__)
 
-    br_strategy = {}
-    for card in CARDS:
-        offset = 4 * (CARD_INDEX[card] - 1)
-        for sit in (1, 2, 3, 4):
-            bit = best_mask >> (offset + sit - 1) & 1
-            br_strategy[InfoSetKey(seat, card, sit)] = Fraction(bit)
-    return BestResponseResult(
-        seat,
-        Fraction(values[best_mask], denom),
-        br_strategy,
-        evaluations=1 << 16,
-    )
+    br_strategy = {InfoSetKey(seat, card, sit): Fraction(best_mask >> (4 * c + sit - 1) & 1)
+                   for c, card in enumerate(CARDS) for sit in (1, 2, 3, 4)}
+    return BestResponseResult(seat, Fraction(values[best_mask], denom), br_strategy,
+                              evaluations=1 << 16)
 
 
 def epsilon(profile: StrategyProfile) -> Fraction:
     """Largest unilateral gain any seat can get by deviating; exactly
     zero iff `profile` is a Nash equilibrium."""
-    evs = expected_values(profile)
-    return max(best_response(profile, seat).br_value - evs[seat - 1] for seat in SEATS)
+    responses = [best_response(profile, seat) for seat in SEATS]
+    return max(br.br_value - br.ev for br in responses)
 
 
 @dataclass
@@ -257,7 +249,6 @@ class EpsilonReport:
 
 def epsilon_report(profile: StrategyProfile) -> EpsilonReport:
     """Where and by how much each seat could profit by deviating."""
-    evs = expected_values(profile)
     seats = []
     for seat in SEATS:
         br = best_response(profile, seat)
@@ -271,7 +262,7 @@ def epsilon_report(profile: StrategyProfile) -> EpsilonReport:
             if gain > 0:
                 deviations.append((key, gain))
         seats.append(
-            SeatGap(seat, evs[seat - 1], br.br_value, br.br_value - evs[seat - 1], deviations)
+            SeatGap(seat, br.ev, br.br_value, br.br_value - br.ev, deviations)
         )
     return EpsilonReport(seats)
 

@@ -255,10 +255,10 @@ def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
 
     set_key identifies the set within the tournament (grouping indices plus
     set index); it keys both the card stream and the per-permutation
-    decision streams.  Each spec is built once by make_agent; a stateful
+    decision streams.  Each spec is built once (_pool_agents); a stateful
     agent is copied from that unplayed instance for every match.
     """
-    return _duplicate_set([make_agent(spec) for spec in triple], config, set_key)
+    return _duplicate_set(_pool_agents(triple), config, set_key)
 
 
 @dataclass
@@ -306,16 +306,32 @@ class TournamentReport:
 def pool_labels(pool: Sequence[AgentSpec]) -> list[str]:
     """Each pool entry's label: its name, or else its kind, suffixed #1,
     #2, ... when the pool repeats that kind (named entries included in the
-    count).  Raises ValueError naming a label that two entries share."""
+    count).  A label names its agent in the '# seats:' line of a match log,
+    so ValueError names the entry agents[i] whose label is not a non-empty
+    string free of ',' and line breaks, or repeats an earlier label."""
     kinds = [spec.kind for spec in pool]
     labels: list[str] = []
     for i, (spec, kind) in enumerate(zip(pool, kinds)):
         numbered = kind if kinds.count(kind) == 1 else f"{kind}#{kinds[:i + 1].count(kind)}"
         label = numbered if spec.name is None else spec.name
+        if not isinstance(label, str) or "," in label or label.splitlines() != [label]:
+            raise ValueError(f"agents[{i}]: label {label!r} must be a non-empty string "
+                             f"without ',' or a line break")
         if label in labels:
-            raise ValueError(f"label {label!r} names more than one agent")
+            raise ValueError(f"agents[{i}]: label {label!r} names more than one agent; "
+                             f"give each a distinct name")
         labels.append(label)
     return labels
+
+
+def _pool_agents(pool: Sequence[AgentSpec]) -> list[Agent]:
+    """One agent per pool entry, built by make_agent, which validates its
+    spec, and named by its pool_labels label, so that match records and
+    logs carry the labels."""
+    agents = [make_agent(spec) for spec in pool]
+    for agent, label in zip(agents, pool_labels(pool)):
+        agent.name = label
+    return agents
 
 
 def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
@@ -326,14 +342,14 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     each).  Set seeds derive from (grouping indices, set index) so the pool
     may grow without disturbing existing groupings.  keep_hands=False drops
     the hands of each set's matches once it is tallied, to bound memory
-    on large tournaments.  Each pool agent is built once by make_agent,
-    which validates its spec; a stateful one is copied from that unplayed
-    instance for every match.  The agents are reported under pool_labels.
+    on large tournaments.  Each pool agent is built once (_pool_agents);
+    a stateful one is copied from that unplayed instance for every match.
+    The agents are reported, and seated, under their pool_labels.
     """
     if len(pool) < 3:
         raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
-    built = [make_agent(spec) for spec in pool]
-    labels = pool_labels(pool)
+    built = _pool_agents(pool)
+    labels = [agent.name for agent in built]
 
     grouping_results: list[GroupingResult] = []
     for indices in itertools.combinations(range(len(pool)), 3):
@@ -516,12 +532,12 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     6 seatings but a fresh card sequence per match.  Both arms consume
     6 * hands_per_match hands per replication, and the studied statistic is
     the slot-0 agent's aggregate chips per hand.  The ratio is 1.0 when
-    both variances vanish.  Each spec is built once by make_agent; a
+    both variances vanish.  Each spec is built once (_pool_agents); a
     stateful agent is copied from that unplayed instance for every match.
     """
     if replications < 30:
         raise ValueError(f"replications must be >= 30, got {replications}")
-    built = [make_agent(spec) for spec in triple]
+    built = _pool_agents(triple)
     hands_per_rep = 6 * config.hands_per_match
     duplicate_samples = []
     independent_samples = []

@@ -24,6 +24,7 @@ with probabilities as decimals or "n/d" fractions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
@@ -166,8 +167,10 @@ def dominance_filled_keys() -> tuple[InfoSetKey, ...]:
     )
 
 
+@functools.cache
 def nash_profile(variant: str) -> StrategyProfile:
-    """Completed profile for the LB or UB table.
+    """Completed profile for the LB or UB table, completed once per process:
+    every call for a variant returns the same profile.
 
     LB is an exact Nash equilibrium. UB is the published table, whose
     (2, 3, 2) entry of 1 lies outside [1/2, 15/16]; its epsilon is 1/192.

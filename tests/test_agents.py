@@ -229,6 +229,17 @@ def test_cfr_trained_agent_loads_profile():
     assert agent.act(obs, FixedRng(0.999)) == "B"  # c41 = 1
 
 
+def test_nash_agents_complete_each_table_once(monkeypatch):
+    complete = strategy.complete_profile
+    completed = []
+    monkeypatch.setattr(strategy, "complete_profile",
+                        lambda table: completed.append(table) or complete(table))
+    strategy.nash_profile.cache_clear()
+    built = [make_agent(AgentSpec(kind)) for kind in ("NashLB", "NashUB") * 3]
+    assert len(completed) == 2
+    assert all(agent.profile is built[i % 2].profile for i, agent in enumerate(built))
+
+
 def test_stateless_agents_ignore_results():
     agent = make_agent(AgentSpec("NashLB"))
     before = dict(agent.profile.aggressive)

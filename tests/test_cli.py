@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kuhn3p import cli, strategy
+from kuhn3p import cli, harness, strategy
 
 
 def run(capsys, argv):
@@ -98,6 +98,15 @@ def test_verify_threshold_is_adjustable(tmp_path, capsys):
     assert "verified" in stdout
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+def test_verify_threshold_must_be_finite_and_nonnegative(tmp_path, capsys, threshold):
+    out = tmp_path / "lb.txt"
+    run(capsys, ["solve", "--variant", "LB", "--out", str(out)])
+    code, stdout, stderr = run(capsys, ["verify", "--profile", str(out), "--threshold", threshold])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("--threshold must be a finite number >= 0") and len(stderr.splitlines()) == 1
+
+
 def test_verify_rejects_uniform(tmp_path, capsys):
     path = tmp_path / "uniform.txt"
     path.write_text(strategy.serialize_profile(strategy.constant_profile(F(1, 2))),
@@ -172,6 +181,24 @@ def test_tournament_reruns_byte_identical(tmp_path, capsys):
     run(capsys, ["tournament", "--config", config, "--out", str(second)])
     for name in ["report.csv", "report.json", "match_g0-1-2_s0_p3.log"]:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_tournament_logs_name_seats_by_label(tmp_path, capsys):
+    config = write_config(tmp_path, agents=[
+        {"kind": "FrequencyModeler"}, {"kind": "FrequencyModeler", "name": "smooth"},
+        {"kind": "NashLB", "name": "lb"}])
+    out = tmp_path / "tourn"
+    assert run(capsys, ["tournament", "--config", config, "--out", str(out)])[0] == 0
+    logs = sorted(out.glob("match_*.log"))
+    assert len(logs) == 6
+    for log in logs:
+        text = log.read_text(encoding="utf-8")
+        seating = next(line for line in text.splitlines() if line.startswith("# permutation:"))
+        labels = seating.split(" seating: ")[1]
+        assert f"\n# seats: {labels}\n" in text
+        assert harness.replay_match_log(text).agent_names == tuple(labels.split(","))
+    assert "# seats: FrequencyModeler#1,lb,smooth\n" in (out / "match_g0-1-2_s0_p1.log").read_text(
+        encoding="utf-8")
 
 
 def test_replay_round_trip(tmp_path, capsys):
@@ -250,6 +277,9 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     {"hands_per_match": 2.5},
     {"master_seed": True},
     {"normalization_divisor": "7"},
+    {"agents": [{"kind": "NashLB", "name": "a,b"},
+                {"kind": "UniformRandom"},
+                {"kind": "AlwaysAggressive"}]},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {

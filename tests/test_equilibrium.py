@@ -184,10 +184,11 @@ def enumerated_values(profile):
 @settings(max_examples=30)
 @given(profile=profiles)
 def test_tree_walks_match_oracle_and_enumeration(profile):
-    values = eq.expected_values(profile)
-    assert values == enumerated_values(profile)
+    enumerated = enumerated_values(profile)
+    assert eq.expected_values(profile) == enumerated
     for seat in (1, 2, 3):
         br = eq.best_response(profile, seat)
+        assert br.ev == enumerated[seat - 1]
         assert br.br_value == eq.pure_strategy_oracle(profile, seat).br_value
         deviated = strategy.StrategyProfile({**profile.aggressive, **br.br_strategy})
         assert eq.expected_values(deviated)[seat - 1] == br.br_value
