@@ -14,7 +14,7 @@ opponent modeler.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
@@ -98,10 +98,13 @@ def build_honest_profile(king_bet: Fraction | float = Fraction(1, 2)) -> Strateg
     return StrategyProfile(aggressive)
 
 
-def _as_smoothing(value: object) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"smoothing must be a finite number > 0, got {value!r}")
+def finite_positive(value: object, name: str) -> float:
+    """value as a float.  ValueError naming it unless it is an int or a
+    float (a bool is neither) with 0 < value <= the largest float: that
+    bound, unlike math.isfinite, holds for an int too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     return float(value)
 
 
@@ -130,7 +133,7 @@ class FrequencyModeler(Agent):
     name = "FrequencyModeler"
 
     def __init__(self, smoothing: float = 1.0) -> None:
-        self.smoothing = _as_smoothing(smoothing)
+        self.smoothing = finite_positive(smoothing, "smoothing")
         self._counts: dict[tuple[Seat, int], list[int]] = {}
         self._seat: Optional[Seat] = None
 

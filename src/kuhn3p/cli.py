@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
-from . import agents, equilibrium, harness, strategy
+from . import equilibrium, harness, strategy
 from .agents import AgentSpec
 from .strategy import ProfileFormatError, StrategyProfile
 
@@ -123,7 +123,6 @@ def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
     unknown = set(entry) - {"kind", "name", "parameters"}
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
     _require("kind" in entry, f"{where}: missing required key 'kind'")
-    _require(isinstance(entry["kind"], str), f"{where}.kind: expected a string")
     parameters = entry.get("parameters", {})
     _require(isinstance(parameters, dict), f"{where}.parameters: expected an object")
     if entry["kind"] == "CFRTrained" and "profile" in parameters:
@@ -131,20 +130,16 @@ def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
         _require(isinstance(path, str), f"{where}: CFRTrained parameter 'profile' must be a path string")
         path = os.path.join(directory, path)
         parameters = {**parameters, "profile": _read_profile(path, where)}
-    spec = AgentSpec(entry["kind"], parameters, entry.get("name"))
-    try:
-        agents.make_agent(spec)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return spec
+    return AgentSpec(entry["kind"], parameters, entry.get("name"))
 
 
 def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
-    """Parse a tournament or variance-study config file into a pool of at
-    least 3 specs, each CFRTrained profile file (a path relative to the
+    """Parse a tournament or variance-study config file into a list of
+    agent specs, each CFRTrained profile file (a path relative to the
     config's directory) read into its spec, and a MatchConfig.  A failure
-    of agents.make_agent, harness.pool_labels or harness.MatchConfig, which
-    own the rules, is a ConfigError naming the field."""
+    of harness.MatchConfig, which owns its rules, is a ConfigError naming
+    the field.  The specs are checked, counted and labelled by the harness
+    when it builds the pool (_run)."""
     text = _read_text(path)
     try:
         raw = json.loads(text)
@@ -157,12 +152,7 @@ def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     _require("master_seed" in raw, f"{path}: missing required key 'master_seed'")
     entries = raw.pop("agents")
     _require(isinstance(entries, list), "agents: expected a list")
-    _require(len(entries) >= 3, f"agents: need at least 3, got {len(entries)}")
     pool = [_parse_agent(e, f"agents[{i}]", os.path.dirname(path)) for i, e in enumerate(entries)]
-    try:
-        harness.pool_labels(pool)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     try:
         config = harness.MatchConfig(**raw)
     except ValueError as exc:
@@ -170,10 +160,19 @@ def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     return pool, config
 
 
+def _run(harness_call, *args):
+    """harness_call(*args); its ValueError, such as a bad spec or a pool of
+    the wrong size, is a ConfigError."""
+    try:
+        return harness_call(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_tournament(args: argparse.Namespace) -> int:
     pool, config = load_config(args.config)
+    report = _run(harness.run_tournament, pool, config)
     os.makedirs(args.out, exist_ok=True)
-    report = harness.run_tournament(pool, config)
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
@@ -196,14 +195,9 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
 
 def cmd_variance_study(args: argparse.Namespace) -> int:
-    if args.replications < 30:
-        print(f"--replications must be >= 30, got {args.replications}", file=sys.stderr)
-        return 2
     triple, config = load_config(args.config)
-    _require(len(triple) == 3, f"agents: a variance study needs exactly 3, got {len(triple)}")
-    study = harness.variance_study(triple, config, args.replications)
-    labels = harness.pool_labels(triple)
-    record = {"agents": labels, "studied_agent": labels[0], **asdict(study)}
+    study = _run(harness.variance_study, triple, config, args.replications)
+    record = {"studied_agent": study.agents[0], **asdict(study)}
     if args.out:
         _write_text(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")

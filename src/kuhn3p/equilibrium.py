@@ -37,7 +37,7 @@ import numpy as np
 
 from . import game
 from .game import (AGGRESSIVE_CHILD, CARDS, CARD_INDEX, DEALS, DECISION_SEAT, DECISION_SITUATION,
-                   N_DECISIONS, PASSIVE_CHILD, SEATS, InfoSetKey)
+                   KEY_INDEX, N_DECISIONS, PASSIVE_CHILD, SEATS, InfoSetKey)
 from .strategy import StrategyProfile
 
 ValueVector = tuple[Fraction, Fraction, Fraction]
@@ -49,7 +49,6 @@ _N_NODES = len(game.NODES)
 # Python ints: numpy integers do not combine exactly with Fraction.
 _INFOSET = game.INFOSET_INDEX.tolist()
 _PAYOFFS = game.PAYOFFS.tolist()
-_KEY_INDEX = {key: i for i, key in enumerate(game.all_infoset_keys())}
 
 
 def _action_probabilities(profile: StrategyProfile) -> list[tuple[Fraction, Fraction]]:
@@ -136,7 +135,7 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
             take_aggressive = v_aggressive > v_passive
             chosen[key] = Fraction(1) if take_aggressive else Fraction(0)
             value[n] = v_aggressive if take_aggressive else v_passive
-            p_passive, p_aggressive = probabilities[_KEY_INDEX[key]]
+            p_passive, p_aggressive = probabilities[KEY_INDEX[key]]
             mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
         total += value[0]
         ev += mixed[0]

@@ -236,7 +236,8 @@ NODES = DECISION_HISTORIES + TERMINAL_HISTORIES
 NODE_ID = {h: i for i, h in enumerate(NODES)}
 N_DECISIONS = len(DECISION_HISTORIES)
 N_TERMINALS = len(TERMINAL_HISTORIES)
-_KEY_INDEX = {key: i for i, key in enumerate(all_infoset_keys())}
+#: InfoSetKey -> its index in all_infoset_keys().
+KEY_INDEX = {key: i for i, key in enumerate(all_infoset_keys())}
 
 #: (passive, aggressive) actions at each decision node.
 DECISION_ACTIONS = tuple(action_pair(h) for h in DECISION_HISTORIES)
@@ -269,7 +270,7 @@ SHOWDOWN_SEATS = tuple(showdown_seats(h) for h in TERMINAL_HISTORIES)
 #: (deal, decision node) -> index in all_infoset_keys() of the acting
 #: seat's information set.
 INFOSET_INDEX = np.array([
-    [_KEY_INDEX[infoset_key(seat, deal[seat - 1], h)]
+    [KEY_INDEX[infoset_key(seat, deal[seat - 1], h)]
      for h, seat in zip(DECISION_HISTORIES, DECISION_SEAT)]
     for deal in DEALS
 ], dtype=np.intp)

@@ -23,14 +23,13 @@ import itertools
 import json
 import math
 import statistics
-import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import game
-from .agents import Agent, AgentSpec, Observation, ProfileAgent, make_agent
+from .agents import Agent, AgentSpec, Observation, ProfileAgent, finite_positive, make_agent
 from .game import (AGGRESSIVE_CHILD, DECISION_ACTIONS, DECISION_SEAT, DECISION_SLOT, N_DECISIONS,
                    NODES, PASSIVE_CHILD)
 
@@ -51,8 +50,8 @@ _DOMAIN_STUDY_INDEP_DECISIONS = 5
 class MatchConfig:
     """Protocol parameters shared by every match of a tournament.  Raises
     ValueError naming the field for a seed or count that is not an int > its
-    bound (a bool is no int) and for a divisor that is not a finite number
-    > 0.  normalization_divisor is stored as a float."""
+    bound (a bool is no int) and for a divisor that agents.finite_positive
+    rejects.  normalization_divisor is stored as a float."""
 
     master_seed: int
     hands_per_match: int = 3000
@@ -66,13 +65,8 @@ class MatchConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        divisor = self.normalization_divisor
-        if not isinstance(divisor, (int, float)) or isinstance(divisor, bool):
-            raise ValueError(f"normalization_divisor must be a number, got {divisor!r}")
-        # Not math.isfinite, which overflows on an int too large for a float.
-        if not 0 < divisor <= sys.float_info.max:
-            raise ValueError(f"normalization_divisor must be finite and > 0, got {divisor}")
-        object.__setattr__(self, "normalization_divisor", float(divisor))
+        object.__setattr__(self, "normalization_divisor",
+                           finite_positive(self.normalization_divisor, "normalization_divisor"))
 
 
 @dataclass
@@ -121,17 +115,18 @@ class _SlotRng:
 
 def _deal_indices(deals: Sequence[int]) -> np.ndarray:
     """deals as an index array; ValueError names the first hand whose deal
-    is not an integer index of game.DEALS."""
-    array = np.asarray(deals)
-    if array.dtype.kind in "iu":
-        valid = (0 <= array) & (array < len(game.DEALS))
-    else:  # an empty list, or some deal that is no integer
-        valid = np.array([isinstance(deal, (int, np.integer)) and 0 <= deal < len(game.DEALS)
-                          for deal in deals], dtype=bool)
-    if not valid.all():
-        first = int(np.argmin(valid))
-        raise ValueError(f"hand {first}: deal {array[first].item()!r} is not a game.DEALS index")
-    return array.astype(np.intp, copy=False)
+    is not an integer index of game.DEALS (a bool is no integer).  A valid
+    integer array is checked whole; any other input deal by deal, as
+    given, since np.asarray would read [0, True] as integers."""
+    if isinstance(deals, np.ndarray) and deals.dtype.kind in "iu" \
+            and ((0 <= deals) & (deals < len(game.DEALS))).all():
+        return deals.astype(np.intp, copy=False)
+    deals = deals.tolist() if isinstance(deals, np.ndarray) else list(deals)
+    for hand, deal in enumerate(deals):
+        if isinstance(deal, bool) or not isinstance(deal, (int, np.integer)) \
+                or not 0 <= deal < len(game.DEALS):
+            raise ValueError(f"hand {hand}: deal {deal!r} is not a game.DEALS index")
+    return np.array(deals, dtype=np.intp)
 
 
 def run_match(agents: Sequence[Agent], deals: Sequence[int],
@@ -325,10 +320,17 @@ def pool_labels(pool: Sequence[AgentSpec]) -> list[str]:
 
 
 def _pool_agents(pool: Sequence[AgentSpec]) -> list[Agent]:
-    """One agent per pool entry, built by make_agent, which validates its
-    spec, and named by its pool_labels label, so that match records and
-    logs carry the labels."""
-    agents = [make_agent(spec) for spec in pool]
+    """One agent per pool entry, built in order by make_agent, which checks
+    its spec, and then named by its pool_labels label, so that match records
+    and logs carry the labels.  The only code that turns specs into agents:
+    ValueError for the first bad spec reads 'agents[i]: ' and make_agent's
+    message, and a label error comes only after every spec is built."""
+    agents = []
+    for i, spec in enumerate(pool):
+        try:
+            agents.append(make_agent(spec))
+        except ValueError as exc:
+            raise ValueError(f"agents[{i}]: {exc}") from exc
     for agent, label in zip(agents, pool_labels(pool)):
         agent.name = label
     return agents
@@ -344,7 +346,9 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     the hands of each set's matches once it is tallied, to bound memory
     on large tournaments.  Each pool agent is built once (_pool_agents);
     a stateful one is copied from that unplayed instance for every match.
-    The agents are reported, and seated, under their pool_labels.
+    The agents are reported, and seated, under their pool_labels.  Raises
+    ValueError, before any hand is played, for a pool of fewer than 3
+    agents and for what _pool_agents rejects.
     """
     if len(pool) < 3:
         raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
@@ -511,8 +515,10 @@ def replay_match_log(text: str) -> MatchRecord:
 @dataclass
 class VarianceStudy:
     """Duplicate aggregation versus independent-card matches at equal hand
-    budget, for the agent in triple slot 0."""
+    budget, for the agent in triple slot 0.  agents holds the triple's
+    pool_labels, slot 0 first."""
 
+    agents: list[str]
     replications: int
     hands_per_match: int
     duplicate_mean: float
@@ -534,6 +540,9 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     the slot-0 agent's aggregate chips per hand.  The ratio is 1.0 when
     both variances vanish.  Each spec is built once (_pool_agents); a
     stateful agent is copied from that unplayed instance for every match.
+    Raises ValueError, before any hand is played, for fewer than 30
+    replications, for what _pool_agents rejects and for a triple that is
+    not 3 agents (_duplicate_set).
     """
     if replications < 30:
         raise ValueError(f"replications must be >= 30, got {replications}")
@@ -558,6 +567,7 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     else:
         ratio = var_dup / var_ind
     return VarianceStudy(
+        agents=[agent.name for agent in built],
         replications=replications,
         hands_per_match=config.hands_per_match,
         duplicate_mean=statistics.fmean(duplicate_samples),

@@ -8,8 +8,10 @@ family. LB is an exact equilibrium. UB is the published table transcribed
 verbatim, and it is not: its entry for seat 2 calling a lone bet with K is
 1, outside the family's interval [1/2, 15/16], which leaves seat 1 an exact
 gain of 1/192 for betting A at the root (epsilon 1/192). Each table pins
-27 of the 48 probabilities; the other 21 are forced by strict dominance
-and filled in by `complete_profile`:
+27 of the 48 probabilities; the other 21, seven per seat, are forced by
+strict dominance. `DOMINANCE` holds them, the one place this split is
+written: `TABLED_ENTRIES`, `dominance_filled_keys` and `complete_profile`
+read it. Situations 2-4 all face a bet, so the choice is call or fold:
 
   * holding J facing a bet: fold (J never wins a showdown),
   * holding A facing a bet: call (A always wins a showdown),
@@ -25,25 +27,28 @@ with probabilities as decimals or "n/d" fractions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 from . import game
-from .game import CARDS, CARD_INDEX, InfoSetKey
+from .game import CARD_INDEX, InfoSetKey
 
 Probability = Union[Fraction, float]
 
-#: (seat, card index, situation) triples named by the parameter tables:
-#: per seat, J in situation 1, Q in 1-3, K in 1-4, A in 1.
-TABLED_ENTRIES = tuple(
-    (seat, j, k)
-    for seat in game.SEATS
-    for j, ks in ((1, (1,)), (2, (1, 2, 3)), (3, (1, 2, 3, 4)), (4, (1,)))
-    for k in ks
-)
-
 _F = Fraction
+
+#: (card, situation) -> the aggressive probability strict dominance forces,
+#: for every seat: J folds and A calls a bet, Q folds after a bet and a call.
+DOMINANCE = {("J", 2): _F(0), ("J", 3): _F(0), ("J", 4): _F(0), ("Q", 4): _F(0),
+             ("A", 2): _F(1), ("A", 3): _F(1), ("A", 4): _F(1)}
+
+#: (seat, card index, situation) triples named by the parameter tables, the
+#: entries DOMINANCE leaves: per seat, J in situation 1, Q in 1-3, K in 1-4,
+#: A in 1.
+TABLED_ENTRIES = tuple((key.seat, CARD_INDEX[key.card], key.situation)
+                       for key in game.all_infoset_keys()
+                       if (key.card, key.situation) not in DOMINANCE)
 
 # The LB equilibrium table. Seat 1 rarely initiates: its only nonzero
 # entry is calling a lone bet with K half the time. Seat 3 bluffs Q half
@@ -120,51 +125,27 @@ def constant_profile(p: Probability) -> StrategyProfile:
     return StrategyProfile({k: p for k in game.all_infoset_keys()})
 
 
-def _dominance_value(card: str, situation: int) -> Fraction:
-    # Situations 2-4 all face a bet, so the decision is call vs fold.
-    if card == "J":
-        return _F(0)
-    if card == "A":
-        return _F(1)
-    if card == "Q" and situation == 4:
-        return _F(0)
-    raise AssertionError(
-        f"({card}, situation {situation}) is tabled, not dominance-filled"
-    )
-
-
 def complete_profile(table: Mapping[tuple[int, int, int], Fraction]) -> StrategyProfile:
     """Extend a 27-entry parameter table to a full 48-infoset profile.
 
-    Tabled values are copied verbatim; the 21 absent entries (per seat:
-    J in situations 2-4, Q in situation 4, A in situations 2-4) take
-    their strictly dominant action.
+    Tabled values are copied verbatim; the 21 absent entries take their
+    DOMINANCE value.  Raises ValueError for a table without exactly the
+    TABLED_ENTRIES, and StrategyProfile does for a value outside [0, 1].
     """
     if set(table) != set(TABLED_ENTRIES):
         raise ValueError(
             "parameter table must contain exactly the 27 tabled entries"
         )
-    for entry, p in table.items():
-        if not 0 <= p <= 1:
-            raise ValueError(f"table value {p!r} at {entry} outside [0, 1]")
-    tabled = set(TABLED_ENTRIES)
-    aggressive = {}
-    for key in game.all_infoset_keys():
-        entry = (key.seat, CARD_INDEX[key.card], key.situation)
-        if entry in tabled:
-            aggressive[key] = _F(table[entry])
-        else:
-            aggressive[key] = _dominance_value(key.card, key.situation)
-    return StrategyProfile(aggressive)
+    return StrategyProfile({
+        key: DOMINANCE[key.card, key.situation] if (key.card, key.situation) in DOMINANCE
+        else _F(table[key.seat, CARD_INDEX[key.card], key.situation])
+        for key in game.all_infoset_keys()
+    })
 
 
 def dominance_filled_keys() -> tuple[InfoSetKey, ...]:
-    """The 21 infosets whose probabilities come from dominance, not tables."""
-    tabled = set(TABLED_ENTRIES)
-    return tuple(
-        k for k in game.all_infoset_keys()
-        if (k.seat, CARD_INDEX[k.card], k.situation) not in tabled
-    )
+    """The 21 infosets whose probabilities come from DOMINANCE, not tables."""
+    return tuple(k for k in game.all_infoset_keys() if (k.card, k.situation) in DOMINANCE)
 
 
 @functools.cache

@@ -206,6 +206,8 @@ def test_modeler_rejects_bad_smoothing():
         agents.FrequencyModeler(smoothing=float("inf"))
     with pytest.raises(ValueError, match="finite"):
         make_agent(AgentSpec("FrequencyModeler", {"smoothing": 1e400}))
+    with pytest.raises(ValueError, match="finite"):  # an int with no float
+        make_agent(AgentSpec("FrequencyModeler", {"smoothing": 10 ** 400}))
 
 
 def test_make_agent_validation():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kuhn3p import cli, harness, strategy
+from kuhn3p import agents, cli, harness, strategy
 
 
 def run(capsys, argv):
@@ -242,18 +242,46 @@ def test_variance_study_runs(tmp_path, capsys):
 
 def test_variance_study_rejects_few_replications(tmp_path, capsys):
     config = write_config(tmp_path)
+    out = tmp_path / "study.json"
     code, _, stderr = run(capsys, ["variance-study", "--config", config,
-                                   "--replications", "10"])
+                                   "--replications", "10", "--out", str(out)])
     assert code == 2
+    assert stderr == "configuration error: replications must be >= 30, got 10\n"
+    assert not out.exists()
 
 
 def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     config = write_config(tmp_path, agents=[
         {"kind": "NashLB"}, {"kind": "UniformRandom"},
         {"kind": "AlwaysAggressive"}, {"kind": "AlwaysPassive"}])
+    out = tmp_path / "study.json"
     code, _, stderr = run(capsys, ["variance-study", "--config", config,
-                                   "--replications", "30"])
+                                   "--replications", "30", "--out", str(out)])
     assert code == 2
+    assert stderr == "configuration error: a duplicate set needs exactly 3 agents, got 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tournament", "--out", "tourn"],
+    ["variance-study", "--replications", "30"],
+])
+def test_cli_builds_each_pool_entry_once(tmp_path, capsys, monkeypatch, argv):
+    built = []
+    make_agent = agents.make_agent
+
+    def counting(spec):
+        built.append(spec.name)
+        return make_agent(spec)
+
+    monkeypatch.setattr(agents, "make_agent", counting)
+    monkeypatch.setattr(harness, "make_agent", counting)
+    pool = [{"kind": "FrequencyModeler", "name": "a"}, {"kind": "NashLB", "name": "b"},
+            {"kind": "UniformRandom", "name": "c"}]
+    config = write_config(tmp_path, agents=pool)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, [argv[0], "--config", config, *argv[1:]])[0] == 0
+    assert built == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("mutation", [
@@ -280,6 +308,11 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     {"agents": [{"kind": "NashLB", "name": "a,b"},
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
+    {"agents": [{"kind": 5}, {"kind": "UniformRandom"}, {"kind": "AlwaysAggressive"}]},
+    {"hands_per_match": 10 ** 30},
+    {"agents": [{"kind": "FrequencyModeler", "parameters": {"smoothing": 10 ** 400}},
+                {"kind": "UniformRandom"},
+                {"kind": "AlwaysAggressive"}]},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {
@@ -295,6 +328,7 @@ def test_tournament_config_errors(tmp_path, capsys, mutation):
                                    "--out", str(tmp_path / "t")])
     assert code == 2
     assert len(stderr.splitlines()) == 1 and stderr.startswith("configuration error: ")
+    assert not (tmp_path / "t").exists()
 
 
 def test_overlong_integer_in_config_is_a_config_error(tmp_path, capsys):

@@ -129,7 +129,9 @@ class _CountingAgent(Agent):
     (np.array([5, 23, 24]), "hand 2: deal 24 "),
     ([2, 3.0], "hand 1: deal 3.0 "),
     (["QKA"], "hand 0: deal 'QKA' "),
-], ids=["negative", "too-large", "float", "string"])
+    ([True, False], "hand 0: deal True "),
+    ([0, True], "hand 1: deal True "),
+], ids=["negative", "too-large", "float", "string", "bool", "int-then-bool"])
 @pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
 def test_run_match_rejects_bad_deal_indices(deals, bad, batch):
     agents = lineup([AgentSpec("NashLB")] * 3) if batch else [_CountingAgent() for _ in range(3)]
@@ -225,6 +227,25 @@ def test_tournament_rejects_small_pools_and_bad_labels():
     named = [AgentSpec(spec.kind, name=name) for spec, name in zip(TRIPLE, "aab")]
     with pytest.raises(ValueError, match="label 'a'"):
         harness.run_tournament(named, small_config())
+
+
+@pytest.mark.parametrize("play", [
+    lambda pool: harness.run_tournament(pool, small_config()),
+    lambda pool: harness.run_duplicate_set(pool, small_config(), (0,)),
+    lambda pool: harness.variance_study(pool, small_config(), 30),
+], ids=["tournament", "duplicate-set", "variance-study"])
+def test_pool_errors_name_the_bad_entry(play):
+    pool = list(TRIPLE)
+    pool[1] = AgentSpec("NashLB", {"king_bet": 0.5})
+    with pytest.raises(ValueError, match=r"^agents\[1\]: NashLB does not accept parameter 'king_bet'$"):
+        play(pool)
+    pool[2] = AgentSpec("Nobody")
+    with pytest.raises(ValueError, match=r"^agents\[1\]: "):
+        play(pool)
+    # Every spec is built before the labels are checked.
+    named = [AgentSpec("NashLB", name="x"), AgentSpec("UniformRandom", name="x"), AgentSpec("Nobody")]
+    with pytest.raises(ValueError, match=r"^agents\[2\]: unknown agent kind 'Nobody'"):
+        play(named)
 
 
 def test_match_log_round_trip():
