@@ -95,12 +95,11 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
     trainer = equilibrium.CfrTrainer()
     rows = []
     done = 0
-    for checkpoint in _checkpoints(args.iters):
+    for checkpoint in _checkpoints(args.iters):  # the last one is args.iters
         trainer.run(checkpoint - done)
         done = checkpoint
-        eps = float(equilibrium.epsilon(trainer.average_profile()))
-        rows.append((checkpoint, eps))
-    profile = trainer.average_profile()
+        profile = trainer.average_profile()
+        rows.append((checkpoint, float(equilibrium.epsilon(profile))))
     header = f"CFR average strategy, iterations={args.iters}"
     _write_text(args.out, strategy.serialize_profile(profile, header=header))
     trace_path = f"{args.out}.trace.csv"

@@ -18,6 +18,11 @@ exact routine reads that table. Two independent routes maximize it:
   * `pure_strategy_oracle` enumerates all 2^16 = 65,536 pure strategies
     for the seat over its 16 infosets and evaluates each one exactly.
 
+A seat's verdict is its one `BestResponseResult`: `ev`, `br_value`, their
+difference `gap`, and the `deviations` where the best response locally
+beats the profile. `epsilon_report` holds the three seats' verdicts, and
+`epsilon` is their largest gap.
+
 `CfrTrainer` implements vanilla counterfactual regret minimization:
 every iteration enumerates all 24 deals, updates all three seats'
 regrets simultaneously under the regret-matching policy, and accumulates
@@ -90,8 +95,12 @@ class BestResponseResult:
     aggressive probability. `infoset_values` holds the pair of
     opponent-reach-weighted action values (passive, aggressive) seen at
     each infoset during the expectimax. `ev` is the seat's own expected
-    value under the profile, from the same backup; `evaluations` is set,
-    and `ev` left None, only by the brute-force oracle.
+    value under the profile, from the same backup, and `gap` is
+    `br_value - ev`. `deviations` lists, in `sort_index()` order, the
+    infosets where the best response strictly beats the profile's own
+    mixture, with that local, opponent-reach-weighted gain. Only the
+    brute-force oracle sets `evaluations`; it leaves `ev` and `gap` None
+    and `infoset_values` and `deviations` empty.
     """
 
     seat: int
@@ -102,6 +111,8 @@ class BestResponseResult:
     )
     evaluations: int | None = None
     ev: Fraction | None = None
+    gap: Fraction | None = None
+    deviations: list[tuple[InfoSetKey, Fraction]] = field(default_factory=list)
 
 
 def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
@@ -110,15 +121,17 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     Each card's row of `_card_tables` is backed up in reverse node order,
     two values per node: opponent nodes add their children's values; own
     nodes take the better child (exact ties pick the passive action) and,
-    for `ev`, mix the children by the profile. An own infoset enters
-    `infoset_values` only when its table entry is nonzero, that is, when
-    some deal reaches it with nonzero opponent weight.
+    for `ev`, mix the children by the profile. Only an own infoset whose
+    table entry is nonzero (some deal reaches it with nonzero opponent
+    weight) enters `infoset_values`, and `deviations` if its gain, the
+    better child less the profile's mixture of the two, is positive.
     """
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
     probabilities = _action_probabilities(profile)
     chosen: dict[InfoSetKey, Fraction] = {}
     infoset_values: dict[InfoSetKey, tuple[Fraction, Fraction]] = {}
+    deviations: list[tuple[InfoSetKey, Fraction]] = []
     total = ev = _ZERO
     for card, row in zip(CARDS, _card_tables(probabilities, seat)):
         value, mixed = row[:], row[:]  # the terminals hold their own values
@@ -130,16 +143,21 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
                 continue
             key = InfoSetKey(seat, card, DECISION_SITUATION[n])
             v_passive, v_aggressive = value[passive], value[aggressive]
-            if row[n]:
-                infoset_values[key] = (v_passive, v_aggressive)
             take_aggressive = v_aggressive > v_passive
             chosen[key] = Fraction(1) if take_aggressive else Fraction(0)
             value[n] = v_aggressive if take_aggressive else v_passive
             p_passive, p_aggressive = probabilities[KEY_INDEX[key]]
             mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
+            if row[n]:
+                infoset_values[key] = (v_passive, v_aggressive)
+                gain = value[n] - (p_passive * v_passive + p_aggressive * v_aggressive)
+                if gain > 0:
+                    deviations.append((key, gain))
         total += value[0]
         ev += mixed[0]
-    return BestResponseResult(seat, total, chosen, infoset_values, ev=ev)
+    deviations.sort(key=lambda deviation: deviation[0].sort_index())
+    return BestResponseResult(seat, total, chosen, infoset_values, ev=ev, gap=total - ev,
+                              deviations=deviations)
 
 
 def expected_values(profile: StrategyProfile) -> ValueVector:
@@ -196,29 +214,12 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
                               evaluations=1 << 16)
 
 
-def epsilon(profile: StrategyProfile) -> Fraction:
-    """Largest unilateral gain any seat can get by deviating; exactly
-    zero iff `profile` is a Nash equilibrium."""
-    responses = [best_response(profile, seat) for seat in SEATS]
-    return max(br.br_value - br.ev for br in responses)
-
-
-@dataclass
-class SeatGap:
-    seat: int
-    ev: Fraction
-    br_value: Fraction
-    gap: Fraction
-    # infosets where the best response strictly beats the profile's own
-    # mixture, with the local improvement (opponent-reach weighted).
-    deviations: list[tuple[InfoSetKey, Fraction]]
-
-
 @dataclass
 class EpsilonReport:
-    """Per-seat equilibrium diagnostics plus the overall gap."""
+    """The three seats' `best_response` verdicts (`ev`, `br_value`, `gap`
+    and `deviations`), in seat order, plus the overall gap."""
 
-    seats: list[SeatGap]
+    seats: list[BestResponseResult]
 
     @property
     def epsilon(self) -> Fraction:
@@ -247,23 +248,15 @@ class EpsilonReport:
 
 
 def epsilon_report(profile: StrategyProfile) -> EpsilonReport:
-    """Where and by how much each seat could profit by deviating."""
-    seats = []
-    for seat in SEATS:
-        br = best_response(profile, seat)
-        deviations = []
-        for key, (v_passive, v_aggressive) in sorted(
-            br.infoset_values.items(), key=lambda kv: kv[0].sort_index()
-        ):
-            p = Fraction(profile[key])
-            held = p * v_aggressive + (1 - p) * v_passive
-            gain = max(v_passive, v_aggressive) - held
-            if gain > 0:
-                deviations.append((key, gain))
-        seats.append(
-            SeatGap(seat, br.ev, br.br_value, br.br_value - br.ev, deviations)
-        )
-    return EpsilonReport(seats)
+    """Where and by how much each seat could profit by deviating: each
+    seat's `best_response`, whose `gap` and `deviations` say so."""
+    return EpsilonReport([best_response(profile, seat) for seat in SEATS])
+
+
+def epsilon(profile: StrategyProfile) -> Fraction:
+    """Largest unilateral gain any seat can get by deviating; exactly
+    zero iff `profile` is a Nash equilibrium."""
+    return epsilon_report(profile).epsilon
 
 
 # ---------------------------------------------------------------------------

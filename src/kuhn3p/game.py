@@ -15,12 +15,12 @@ responders fold the bettor takes the pot; otherwise the highest card
 among the non-folded seats wins the showdown.
 
 Histories and deals are plain strings ("KKBFC", "QKA") so they serialize
-as themselves; the string functions below are the public rules API that
-agents see. The same tree is also compiled to integer node ids and
-tables, and a finished hand to one outcome index (end of module). Match
-play, match logs and their replay, exact verification, CFR and the
-opponent modeler walk those tables, so this module is the only one that
-knows the tree's shape.
+as themselves; the string functions below are the reference rules that
+the tables are compiled from and that tests check against. The tree is
+compiled to integer node ids and tables, and a finished hand to one
+outcome index (end of module). Match play, match logs and their replay,
+exact verification, CFR and the opponent modeler walk those tables, so
+this module is the only one that knows the tree's shape.
 """
 
 from __future__ import annotations

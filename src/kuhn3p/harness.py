@@ -45,13 +45,16 @@ _DOMAIN_STUDY_CARDS = 2
 _DOMAIN_STUDY_INDEP_CARDS = 4
 _DOMAIN_STUDY_INDEP_DECISIONS = 5
 
+# A match holds all its hands at once, about 130 bytes each.
+MAX_HANDS_PER_MATCH = 10 ** 6
+
 
 @dataclass(frozen=True)
 class MatchConfig:
     """Protocol parameters shared by every match of a tournament.  Raises
-    ValueError naming the field for a seed or count that is not an int > its
-    bound (a bool is no int) and for a divisor that agents.finite_positive
-    rejects.  normalization_divisor is stored as a float."""
+    ValueError naming the field for a seed or count that is not an int in
+    its bounds (a bool is no int) and for a divisor that
+    agents.finite_positive rejects.  normalization_divisor is stored as a float."""
 
     master_seed: int
     hands_per_match: int = 3000
@@ -65,6 +68,9 @@ class MatchConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+        if self.hands_per_match > MAX_HANDS_PER_MATCH:
+            raise ValueError(f"hands_per_match must be <= {MAX_HANDS_PER_MATCH}, "
+                             f"got {self.hands_per_match}")
         object.__setattr__(self, "normalization_divisor",
                            finite_positive(self.normalization_divisor, "normalization_divisor"))
 

@@ -328,6 +328,8 @@ def test_tournament_config_errors(tmp_path, capsys, mutation):
                                    "--out", str(tmp_path / "t")])
     assert code == 2
     assert len(stderr.splitlines()) == 1 and stderr.startswith("configuration error: ")
+    # A bad top-level field is named, whatever rejects it.
+    assert all(key in stderr for key in set(mutation) - {"agents"})
     assert not (tmp_path / "t").exists()
 
 

@@ -133,13 +133,17 @@ def test_epsilon_nonnegative_and_zero_only_at_equilibrium():
 
 
 def test_epsilon_report_render():
-    report = eq.epsilon_report(strategy.nash_profile("LB"))
-    text = report.render()
-    assert "seat 1" in text and "seat 2" in text and "seat 3" in text
-    assert "epsilon = 0" in text
-    ub_text = eq.epsilon_report(strategy.nash_profile("UB")).render()
-    assert "deviate at seat 1 card A situation 1" in ub_text
-    assert "1/192" in ub_text
+    assert eq.epsilon_report(strategy.nash_profile("LB")).render() == (
+        "seat 1: ev = -1/48 (-0.020833)  best response = -1/48 (-0.020833)  gap = 0 (0.000e+00)\n"
+        "seat 2: ev = -1/48 (-0.020833)  best response = -1/48 (-0.020833)  gap = 0 (0.000e+00)\n"
+        "seat 3: ev = 1/24 (+0.041667)  best response = 1/24 (+0.041667)  gap = 0 (0.000e+00)\n"
+        "epsilon = 0 (0.000e+00)")
+    assert eq.epsilon_report(strategy.nash_profile("UB")).render() == (
+        "seat 1: ev = -1/32 (-0.031250)  best response = -5/192 (-0.026042)  gap = 1/192 (5.208e-03)\n"
+        "    deviate at seat 1 card A situation 1: gain 1/192 (5.208e-03)\n"
+        "seat 2: ev = -1/48 (-0.020833)  best response = -1/48 (-0.020833)  gap = 0 (0.000e+00)\n"
+        "seat 3: ev = 5/96 (+0.052083)  best response = 5/96 (+0.052083)  gap = 0 (0.000e+00)\n"
+        "epsilon = 1/192 (5.208e-03)")
 
 
 def test_best_response_value_dominates_profile_value():
@@ -180,19 +184,36 @@ def enumerated_values(profile):
     return tuple(totals)
 
 
+def reference_deviations(profile, infoset_values):
+    """The positive local gains, in sort_index() order, recomputed from
+    the action values and the profile's own probability."""
+    deviations = []
+    for key, (v_passive, v_aggressive) in sorted(infoset_values.items(),
+                                                 key=lambda kv: kv[0].sort_index()):
+        p = F(profile[key])
+        gain = max(v_passive, v_aggressive) - (p * v_aggressive + (1 - p) * v_passive)
+        if gain > 0:
+            deviations.append((key, gain))
+    return deviations
+
+
 # Fewer examples than the suite's default: each one runs three oracles.
 @settings(max_examples=30)
 @given(profile=profiles)
 def test_tree_walks_match_oracle_and_enumeration(profile):
     enumerated = enumerated_values(profile)
     assert eq.expected_values(profile) == enumerated
+    gaps = []
     for seat in (1, 2, 3):
         br = eq.best_response(profile, seat)
         assert br.ev == enumerated[seat - 1]
         assert br.br_value == eq.pure_strategy_oracle(profile, seat).br_value
         deviated = strategy.StrategyProfile({**profile.aggressive, **br.br_strategy})
         assert eq.expected_values(deviated)[seat - 1] == br.br_value
-    assert eq.epsilon(profile) == eq.epsilon_report(profile).epsilon
+        assert br.gap == br.br_value - br.ev
+        assert br.deviations == reference_deviations(profile, br.infoset_values)
+        gaps.append(br.gap)
+    assert eq.epsilon(profile) == eq.epsilon_report(profile).epsilon == max(gaps)
 
 
 def test_tree_walks_call_no_string_helpers(monkeypatch):

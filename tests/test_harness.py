@@ -60,6 +60,13 @@ def test_match_config_validation():
     assert type(divisor) is float and divisor == 7.0
 
 
+def test_match_config_bounds_hands_per_match():
+    # A match holds every hand at once, so its length has a ceiling.
+    assert MatchConfig(master_seed=0, hands_per_match=10 ** 6).hands_per_match == 10 ** 6
+    with pytest.raises(ValueError, match=r"^hands_per_match must be <= 1000000, got 1000001$"):
+        MatchConfig(master_seed=0, hands_per_match=10 ** 6 + 1)
+
+
 def test_deal_sequence_is_deterministic_and_valid():
     a = harness.deal_sequence(42, (0, 1), 500)
     b = harness.deal_sequence(42, (0, 1), 500)
