@@ -127,7 +127,8 @@ class FrequencyModeler(Agent):
 
     The model is card-independent, so observed opponent actions carry no
     information about hidden cards and the posterior over the unseen deals
-    stays uniform; the expectimax below relies on that.
+    stays uniform: act backs the seat's mean terminal payoffs up the tree,
+    weighting each opponent branch by its modeled frequency.
     """
 
     name = "FrequencyModeler"
@@ -144,30 +145,24 @@ class FrequencyModeler(Agent):
         return (aggressive + s) / (passive + aggressive + 2 * s)
 
     def act(self, obs: Observation, rng) -> Action:
-        self._seat = obs.seat
+        self._seat = seat = obs.seat
         n = game.NODE_ID[obs.history]
         passive, aggressive = DECISION_ACTIONS[n]
-        means = _TERMINAL_MEANS[obs.seat, obs.private_card]
-        v_passive = self._value(means, obs.seat, PASSIVE_CHILD[n])
-        v_aggressive = self._value(means, obs.seat, AGGRESSIVE_CHILD[n])
-        # Ties break passive, matching the best-response convention.
-        return aggressive if v_aggressive > v_passive else passive
-
-    def _value(self, means: list[float], seat: Seat, n: int) -> float:
-        # Expected payoff for seat at node n over the uniform posterior on
-        # deals (means), with opponents playing their modeled frequencies
-        # and this agent playing greedily at its own future decision points.
-        # Modeled frequencies do not depend on the deal, so branch weights
-        # factor out of the posterior.
-        if n >= N_DECISIONS:
-            return means[n]
-        actor = DECISION_SEAT[n]
-        if actor == seat:
-            return max(self._value(means, seat, PASSIVE_CHILD[n]),
-                       self._value(means, seat, AGGRESSIVE_CHILD[n]))
-        f = self.estimate(actor, DECISION_SITUATION[n])
-        return ((1.0 - f) * self._value(means, seat, PASSIVE_CHILD[n])
-                + f * self._value(means, seat, AGGRESSIVE_CHILD[n]))
+        estimate = self.estimate
+        # One backup in reverse node order, so n's descendants are final
+        # before they are read: own nodes take the better child (ties break
+        # passive, matching the best-response convention), opponent nodes
+        # mix the children by the modeled frequency.
+        value = _TERMINAL_MEANS[seat, obs.private_card][:]
+        for m in reversed(range(n + 1, N_DECISIONS)):
+            v_passive, v_aggressive = value[PASSIVE_CHILD[m]], value[AGGRESSIVE_CHILD[m]]
+            actor = DECISION_SEAT[m]
+            if actor == seat:
+                value[m] = v_aggressive if v_aggressive > v_passive else v_passive
+            else:
+                f = estimate(actor, DECISION_SITUATION[m])
+                value[m] = (1.0 - f) * v_passive + f * v_aggressive
+        return aggressive if value[AGGRESSIVE_CHILD[n]] > value[PASSIVE_CHILD[n]] else passive
 
     def observe_result(self, revealed: Mapping[Seat, Card],
                        history: ActionHistory,

@@ -150,7 +150,9 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
             mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
             if row[n]:
                 infoset_values[key] = (v_passive, v_aggressive)
-                gain = value[n] - (p_passive * v_passive + p_aggressive * v_aggressive)
+                # p_passive + p_aggressive == 1, so the mixture falls short of
+                # the better child by the worse action's share of the gap.
+                gain = (p_passive if take_aggressive else p_aggressive) * abs(v_aggressive - v_passive)
                 if gain > 0:
                     deviations.append((key, gain))
         total += value[0]

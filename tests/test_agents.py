@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kuhn3p import agents, game, strategy
 from kuhn3p.agents import AgentSpec, Observation, make_agent
@@ -184,12 +185,16 @@ def string_expectimax(modeler, deals, seat, h):
     return (1.0 - f) * values[0] + f * values[1]
 
 
-def test_modeler_act_matches_string_expectimax():
-    modeler = agents.FrequencyModeler(smoothing=0.5)
-    modeler.act(Observation(1, "Q", "", 0), FixedRng(0.5))
-    for i, history in enumerate(game.TERMINAL_HISTORIES):
-        for _ in range(i):
-            modeler.observe_result({}, history, game.terminal_payoffs("JQK", history))
+@given(smoothing=st.floats(0.1, 10, allow_nan=False, allow_infinity=False),
+       seat=st.sampled_from(game.SEATS),
+       observed=st.lists(st.sampled_from(game.TERMINAL_HISTORIES), max_size=30))
+@example(smoothing=0.5, seat=1,
+         observed=[h for i, h in enumerate(game.TERMINAL_HISTORIES) for _ in range(i)])
+def test_modeler_act_matches_string_expectimax(smoothing, seat, observed):
+    modeler = agents.FrequencyModeler(smoothing=smoothing)
+    modeler.act(Observation(seat, "Q", game.SITUATION_HISTORIES[seat][1], 0), FixedRng(0.5))
+    for history in observed:
+        modeler.observe_result({}, history, game.terminal_payoffs("JQK", history))
     for obs in all_observations():
         deals = [d for d in game.DEALS if d[obs.seat - 1] == obs.private_card]
         passive, aggressive = game.action_pair(obs.history)

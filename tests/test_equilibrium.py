@@ -1,16 +1,19 @@
 """Exact equilibrium-verification tests.
 
 Expected values and epsilons below were frozen from two independent
-computations: the expected-value walk and best-response expectimax on one
-side, and the 65,536-pure-strategy enumeration oracle on the other.  A
-property test holds the tree walks against the oracle and against a plain
-enumeration of deals and terminal action strings through the string API of
-`game`.  Everything here is exact rational arithmetic.
+computations: the best-response backup, which also gives each seat's
+expected value, on one side, and the 65,536-pure-strategy enumeration
+oracle on the other.  A property test holds the tree walks against the
+oracle and against a plain enumeration of deals and terminal action
+strings through the string API of `game`.  Everything here is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +240,16 @@ def test_tree_walks_call_no_string_helpers(monkeypatch):
     record = harness.run_match(agents, harness.deal_sequence(3, (1,), 200), 3)
     assert agents[0]._counts
     assert harness.replay_match_log(harness.match_log(record)) == record
+
+
+def test_no_src_function_calls_itself():
+    # Every tree walk is a loop over the compiled tables, not a recursion.
+    recursive = []
+    for path in sorted(Path(game.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func) in (node.name, f"self.{node.name}")
+                    for call in ast.walk(node)):
+                recursive.append(f"{path.name}:{node.name}")
+    assert recursive == []
