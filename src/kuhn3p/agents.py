@@ -118,6 +118,11 @@ def _terminal_means(seat: Seat, card: Card) -> list[float]:
 
 _TERMINAL_MEANS = {(seat, card): _terminal_means(seat, card)
                    for seat in game.SEATS for card in game.CARDS}
+#: Per decision node: the decision nodes below it, in descending id order,
+#: so that a backup over them finishes each node's children before it.
+_DESCENDANTS = tuple(tuple(m for m in reversed(range(N_DECISIONS))
+                           if any(a == n for a, _ in game.PATHS[m]))
+                     for n in range(N_DECISIONS))
 
 
 class FrequencyModeler(Agent):
@@ -149,12 +154,12 @@ class FrequencyModeler(Agent):
         n = game.NODE_ID[obs.history]
         passive, aggressive = DECISION_ACTIONS[n]
         estimate = self.estimate
-        # One backup in reverse node order, so n's descendants are final
-        # before they are read: own nodes take the better child (ties break
-        # passive, matching the best-response convention), opponent nodes
-        # mix the children by the modeled frequency.
+        # One backup over n's subtree in reverse node order, so each node's
+        # children are final before it reads them: own nodes take the better
+        # child (ties break passive, matching the best-response convention),
+        # opponent nodes mix the children by the modeled frequency.
         value = _TERMINAL_MEANS[seat, obs.private_card][:]
-        for m in reversed(range(n + 1, N_DECISIONS)):
+        for m in _DESCENDANTS[n]:
             v_passive, v_aggressive = value[PASSIVE_CHILD[m]], value[AGGRESSIVE_CHILD[m]]
             actor = DECISION_SEAT[m]
             if actor == seat:

@@ -146,8 +146,10 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     are played as given, state included; build them with make_agent.
 
     A lineup of three plain ProfileAgents plays every hand at once on the
-    compiled tree (`_play_profiles`); any other lineup, subclasses
-    included, takes the per-decision loop (`_play_each`).  Both give
+    compiled tree (`_play_profiles`); any other lineup takes the
+    per-decision loop (`_play_each`), which decides the nodes of plain
+    ProfileAgents in one batch up front and asks every other agent,
+    ProfileAgent subclasses included, at each of its decisions.  All give
     identical records for the same inputs.  Raises ValueError, before
     any hand is played, for a deal that is not an index of game.DEALS.
     """
@@ -168,14 +170,27 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
 def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """The per-decision match loop: every hand walks the tree from the root,
     asking the acting agent at each decision node; returns each hand's
-    terminal node id."""
+    terminal node id.  A plain ProfileAgent is not asked: its nodes are
+    decided for every hand up front, by ProfileAgent.act's comparison on
+    the same uniforms, into bytes read at index * N_DECISIONS + n."""
     observers = [a for a in agents if type(a).observe_result is not Agent.observe_result]
+    decided = [type(agents[seat - 1]) is ProfileAgent for seat in DECISION_SEAT]
+    aggressive_at = np.zeros((len(deals), N_DECISIONS), dtype=bool)
+    for n in itertools.compress(range(N_DECISIONS), decided):
+        i = DECISION_SEAT[n] - 1
+        aggressive_at[:, n] = (uniforms[:, i, DECISION_SLOT[n]]
+                               < agents[i].probabilities[game.INFOSET_INDEX[deals, n]])
+    aggressive_at = aggressive_at.tobytes()
     rng = _SlotRng()
     terminals = []
     for index, deal in enumerate(game.DEALS[d] for d in deals.tolist()):
         row = uniforms[index]
+        base = index * N_DECISIONS
         n = 0
         while n < N_DECISIONS:
+            if decided[n]:
+                n = AGGRESSIVE_CHILD[n] if aggressive_at[base + n] else PASSIVE_CHILD[n]
+                continue
             i = DECISION_SEAT[n] - 1
             rng.value = row[i, DECISION_SLOT[n]]
             h = NODES[n]

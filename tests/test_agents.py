@@ -173,6 +173,16 @@ def test_modeler_decision_ignores_hidden_cards():
     assert a.act(obs, FixedRng(0.5)) == b.act(obs, FixedRng(0.5))
 
 
+def test_modeler_backs_up_exactly_the_subtree():
+    # Through the string API: node n's descendants are the decision
+    # histories that strictly extend its history, latest node id first.
+    for n, h in enumerate(game.DECISION_HISTORIES):
+        below = [game.NODE_ID[g] for g in game.DECISION_HISTORIES
+                 if g.startswith(h) and g != h]
+        assert list(agents._DESCENDANTS[n]) == sorted(below, reverse=True), h
+    assert len(agents._DESCENDANTS) == game.N_DECISIONS
+
+
 def string_expectimax(modeler, deals, seat, h):
     """The modeler's expectimax over history strings, as a reference."""
     if game.is_terminal(h):

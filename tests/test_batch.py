@@ -1,11 +1,13 @@
-"""The batch match path against the per-decision reference loop.
+"""The batch match paths against the per-decision reference loop.
 
-run_match plays a lineup of three plain ProfileAgents on the compiled tree
-and every other lineup one decision at a time.  A subclass that changes
-nothing still takes the per-decision loop, which makes it the reference
-here: both paths must give equal records and byte-identical logs, and
-the log must equal a csv.writer rendering of every hand decoded through
-the string API.
+run_match plays a lineup of three plain ProfileAgents on the compiled tree.
+Every other lineup takes the per-decision loop, which decides each plain
+ProfileAgent's seat for all hands up front and asks every other agent at
+each of its decisions.  A subclass that changes nothing is still asked,
+which makes it the reference here: each path must give the records, and
+the byte-identical logs, of the same lineup of subclasses, and the log
+must equal a csv.writer rendering of every hand decoded through the
+string API.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 from kuhn3p import game, harness, strategy
-from kuhn3p.agents import ProfileAgent
+from kuhn3p.agents import FrequencyModeler, ProfileAgent
 
 
 class ReferenceProfileAgent(ProfileAgent):
@@ -96,6 +98,43 @@ def test_plain_profile_lineup_never_calls_act(monkeypatch):
     pool = [strategy.nash_profile("LB"), strategy.nash_profile("UB")]
     cards = harness.deal_sequence(1, (0,), 200)
     record = harness.run_match(lineup(ProfileAgent, pool, (0, 1, 0)), cards, 1)
+    assert len(record.hands) == 200
+
+
+def modeler_lineup(cls, pool, seats, smoothing):
+    """A fresh FrequencyModeler in seats[0], pool's agents in seats[1:]."""
+    agents = [None] * 3
+    agents[seats[0]] = FrequencyModeler(smoothing)
+    for seat, (i, profile) in zip(seats[1:], enumerate(pool)):
+        agents[seat] = cls(profile, f"P{i}")
+    return agents
+
+
+@given(pool=st.tuples(profiles, profiles),
+       seats=st.permutations(range(3)),
+       smoothing=st.floats(0.1, 10),
+       hands=st.integers(0, 300),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(pool=(strategy.nash_profile("LB"), strategy.nash_profile("UB")), seats=[0, 1, 2],
+         smoothing=1.0, hands=0, seed=0)
+def test_modeler_lineup_equals_scalar_reference(pool, seats, smoothing, hands, seed):
+    cards = harness.deal_sequence(seed, (0,), hands)
+    mixed = harness.run_match(modeler_lineup(ProfileAgent, pool, seats, smoothing), cards, seed)
+    scalar = harness.run_match(modeler_lineup(ReferenceProfileAgent, pool, seats, smoothing),
+                               cards, seed)
+    assert mixed == scalar
+    assert [o // 13 for o in mixed.hands] == cards.tolist()
+    assert harness.match_log(mixed) == harness.match_log(scalar) == reference_log(mixed)
+
+
+def test_modeler_lineup_never_asks_plain_profile_agents(monkeypatch):
+    def refuse(self, obs, rng):
+        raise AssertionError("a plain ProfileAgent was asked to act")
+
+    monkeypatch.setattr(ProfileAgent, "act", refuse)
+    pool = [strategy.nash_profile("LB"), strategy.nash_profile("UB")]
+    cards = harness.deal_sequence(3, (0,), 200)
+    record = harness.run_match(modeler_lineup(ProfileAgent, pool, (1, 0, 2), 1.0), cards, 3)
     assert len(record.hands) == 200
 
 
