@@ -29,12 +29,11 @@ from .strategy import StrategyProfile
 
 
 class Observation(NamedTuple):
-    """Everything an agent may condition on when choosing an action."""
+    """All an agent may condition on: its seat, its own card, the public history."""
 
     seat: Seat
     private_card: Card
     history: ActionHistory
-    hand_index: int
 
 
 class Agent:
@@ -50,12 +49,6 @@ class Agent:
                        payoffs: tuple[int, int, int]) -> None:
         """Called once per completed hand; revealed holds showdown cards only."""
 
-    def __setstate__(self, state: dict) -> None:
-        # Attribute by attribute, as __init__ sets them: CPython reads the
-        # attributes of a copy whose __dict__ was filled whole more slowly.
-        for name, value in state.items():
-            setattr(self, name, value)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
@@ -67,17 +60,16 @@ class ProfileAgent(Agent):
     def __init__(self, profile: StrategyProfile, name: str) -> None:
         self.profile = profile
         self.name = name
-        # Float lookup table keeps the per-decision cost flat.
-        self._prob = {key: float(p) for key, p in profile.aggressive.items()}
-        #: The same floats in all_infoset_keys() order, for batch play.
-        self.probabilities = np.array([self._prob[key] for key in game.all_infoset_keys()])
+        #: The profile as floats in all_infoset_keys() order: the one table
+        #: that act and both of the harness's batch paths read.
+        self.probabilities = np.array([float(profile[key]) for key in game.all_infoset_keys()])
         self.probabilities.flags.writeable = False
 
     def act(self, obs: Observation, rng) -> Action:
         n = game.NODE_ID[obs.history]
         passive, aggressive = DECISION_ACTIONS[n]
         key = InfoSetKey(obs.seat, obs.private_card, DECISION_SITUATION[n])
-        return aggressive if rng.uniform() < self._prob[key] else passive
+        return aggressive if rng.uniform() < self.probabilities[game.KEY_INDEX[key]] else passive
 
 
 def build_honest_profile(king_bet: Fraction | float = Fraction(1, 2)) -> StrategyProfile:

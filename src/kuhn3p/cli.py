@@ -34,14 +34,14 @@ class ConfigError(ValueError):
 
 
 def _read_text(path: str, failure: Optional[str] = None) -> str:
-    """The text of a UTF-8 file.  A file that cannot be opened or decoded
-    is a ConfigError reading '<failure>: <reason>', where failure defaults
-    to 'cannot read <path>'."""
+    """The text of a UTF-8 file.  A file that cannot be opened or decoded,
+    or a path open rejects, is a ConfigError reading '<failure>: <reason>',
+    where failure defaults to 'cannot read <path!r>'."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{failure or f'cannot read {path}'}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in path
+        raise ConfigError(f"{failure or f'cannot read {path!r}'}: {exc}") from exc
 
 
 def _read_profile(path: str, where: str) -> StrategyProfile:
@@ -73,7 +73,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         profile = strategy.parse_profile(text)
     except ProfileFormatError as exc:
-        print(f"{args.profile}: {exc}", file=sys.stderr)
+        print(f"{args.profile!r}: {exc}", file=sys.stderr)
         return 2
     report = equilibrium.epsilon_report(profile)
     print(report.render())
@@ -142,13 +142,13 @@ def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     text = _read_text(path)
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), f"{path}: top level must be an object")
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, too deep
+        raise ConfigError(f"{path!r}: invalid JSON: {exc}") from exc
+    _require(isinstance(raw, dict), f"{path!r}: top level must be an object")
     unknown = set(raw) - {"agents"} - {f.name for f in fields(harness.MatchConfig)}
-    _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
-    _require("agents" in raw, f"{path}: missing required key 'agents'")
-    _require("master_seed" in raw, f"{path}: missing required key 'master_seed'")
+    _require(not unknown, f"{path!r}: unknown keys {sorted(unknown)}")
+    _require("agents" in raw, f"{path!r}: missing required key 'agents'")
+    _require("master_seed" in raw, f"{path!r}: missing required key 'master_seed'")
     entries = raw.pop("agents")
     _require(isinstance(entries, list), "agents: expected a list")
     pool = [_parse_agent(e, f"agents[{i}]", os.path.dirname(path)) for i, e in enumerate(entries)]

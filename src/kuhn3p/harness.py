@@ -194,7 +194,7 @@ def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray)
             i = DECISION_SEAT[n] - 1
             rng.value = row[i, DECISION_SLOT[n]]
             h = NODES[n]
-            action = agents[i].act(Observation(i + 1, deal[i], h, index), rng)
+            action = agents[i].act(Observation(i + 1, deal[i], h), rng)
             passive, aggressive = DECISION_ACTIONS[n]
             if action == passive:
                 n = PASSIVE_CHILD[n]
@@ -220,13 +220,12 @@ def _play_profiles(agents: Sequence[ProfileAgent], deals: np.ndarray,
     standing on it to a child, making the same `uniform < probability`
     comparison as ProfileAgent.act with the same pre-drawn uniform.
     Returns each hand's terminal node id."""
-    probabilities = np.stack([agent.probabilities for agent in agents])
     node = np.zeros(len(deals), dtype=np.intp)  # every hand starts at the root
     for n in range(N_DECISIONS):
         here = np.flatnonzero(node == n)
         i = DECISION_SEAT[n] - 1
         aggressive = (uniforms[here, i, DECISION_SLOT[n]]
-                      < probabilities[i, game.INFOSET_INDEX[deals[here], n]])
+                      < agents[i].probabilities[game.INFOSET_INDEX[deals[here], n]])
         node[here] = np.where(aggressive, AGGRESSIVE_CHILD[n], PASSIVE_CHILD[n])
     return node
 

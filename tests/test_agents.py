@@ -27,7 +27,7 @@ def all_observations():
     for h in game.DECISION_HISTORIES:
         seat = game.acting_seat(h)
         for card in game.CARDS:
-            yield Observation(seat, card, h, 0)
+            yield Observation(seat, card, h)
 
 
 ALL_KINDS = [
@@ -54,12 +54,12 @@ def test_every_agent_plays_legal_actions_everywhere():
 def test_profile_agent_uses_profile_probabilities():
     agent = make_agent(AgentSpec("NashUB"))
     # b11 = 1/4: seat 2 holding J at "K" bets iff the uniform is below 1/4.
-    obs = Observation(2, "J", "K", 0)
+    obs = Observation(2, "J", "K")
     assert agent.act(obs, FixedRng(0.2499)) == "B"
     assert agent.act(obs, FixedRng(0.25)) == "K"
     # c41 = 1: seat 3 holding A at "KK" always bets.
     lb = make_agent(AgentSpec("NashLB"))
-    obs = Observation(3, "A", "KK", 0)
+    obs = Observation(3, "A", "KK")
     for u in (0.0, 0.5, 0.999999):
         assert lb.act(obs, FixedRng(u)) == "B"
 
@@ -83,12 +83,12 @@ def test_sampling_frequencies_match_profile():
     gen = np.random.default_rng(7)
     n = 100_000
     cases = [
-        (Observation(2, "J", "K", 0), 0.25),
-        (Observation(2, "Q", "K", 0), 0.25),
-        (Observation(2, "K", "KKBF", 0), 0.875),
-        (Observation(1, "K", "KBF", 0), 0.5),
-        (Observation(3, "Q", "KK", 0), 0.5),
-        (Observation(3, "K", "KK", 0), 0.0),
+        (Observation(2, "J", "K"), 0.25),
+        (Observation(2, "Q", "K"), 0.25),
+        (Observation(2, "K", "KKBF"), 0.875),
+        (Observation(1, "K", "KBF"), 0.5),
+        (Observation(3, "Q", "KK"), 0.5),
+        (Observation(3, "K", "KK"), 0.0),
     ]
     for obs, p in cases:
         uniforms = gen.random(n)
@@ -114,7 +114,7 @@ def test_honest_no_bluff_profile():
 
 def test_honest_no_bluff_king_bet_parameter():
     agent = make_agent(AgentSpec("HonestNoBluff", {"king_bet": 1.0}))
-    obs = Observation(1, "K", "", 0)
+    obs = Observation(1, "K", "")
     assert agent.act(obs, FixedRng(0.999)) == "B"
     agent = make_agent(AgentSpec("HonestNoBluff", {"king_bet": 0.0}))
     assert agent.act(obs, FixedRng(0.0)) == "K"
@@ -129,7 +129,7 @@ def test_modeler_prior_is_one_half():
 
 def test_modeler_counts_public_actions():
     modeler = agents.FrequencyModeler(smoothing=1.0)
-    modeler.act(Observation(1, "Q", "", 0), FixedRng(0.5))  # binds the seat
+    modeler.act(Observation(1, "Q", ""), FixedRng(0.5))  # binds the seat
     # KKBFF: seats 1 and 2 check, seat 3 bets, seats 1 and 2 fold.  From
     # seat 1 the countable opponent actions are seat 2's check (situation
     # 1), seat 3's bet (situation 1), and seat 2's fold (situation 3).
@@ -142,7 +142,7 @@ def test_modeler_counts_public_actions():
 
 def test_modeler_estimates_stay_interior():
     modeler = agents.FrequencyModeler(smoothing=1.0)
-    modeler.act(Observation(1, "Q", "", 0), FixedRng(0.5))
+    modeler.act(Observation(1, "Q", ""), FixedRng(0.5))
     for _ in range(1000):
         modeler.observe_result({}, "KKBFF", (-1, -1, 2))
     assert 0.0 < modeler.estimate(3, 1) < 1.0
@@ -153,10 +153,10 @@ def test_modeler_exploits_folding_opponents():
     # After watching both opponents fold to every bet, betting any card
     # from seat 1 shows an immediate profit; the modeler must bluff.
     modeler = agents.FrequencyModeler(smoothing=1.0)
-    modeler.act(Observation(1, "J", "", 0), FixedRng(0.5))
+    modeler.act(Observation(1, "J", ""), FixedRng(0.5))
     for _ in range(200):
         modeler.observe_result({}, "BFF", (2, -1, -1))
-    assert modeler.act(Observation(1, "J", "", 0), FixedRng(0.5)) == "B"
+    assert modeler.act(Observation(1, "J", ""), FixedRng(0.5)) == "B"
 
 
 def test_modeler_decision_ignores_hidden_cards():
@@ -166,10 +166,10 @@ def test_modeler_decision_ignores_hidden_cards():
     b = agents.FrequencyModeler()
     history, payoffs = "KKBFF", (-1, -1, 2)
     for modeler in (a, b):
-        modeler.act(Observation(1, "Q", "", 0), FixedRng(0.5))
+        modeler.act(Observation(1, "Q", ""), FixedRng(0.5))
     a.observe_result({}, history, payoffs)
     b.observe_result({}, history, payoffs)
-    obs = Observation(1, "Q", "", 1)
+    obs = Observation(1, "Q", "")
     assert a.act(obs, FixedRng(0.5)) == b.act(obs, FixedRng(0.5))
 
 
@@ -202,7 +202,7 @@ def string_expectimax(modeler, deals, seat, h):
          observed=[h for i, h in enumerate(game.TERMINAL_HISTORIES) for _ in range(i)])
 def test_modeler_act_matches_string_expectimax(smoothing, seat, observed):
     modeler = agents.FrequencyModeler(smoothing=smoothing)
-    modeler.act(Observation(seat, "Q", game.SITUATION_HISTORIES[seat][1], 0), FixedRng(0.5))
+    modeler.act(Observation(seat, "Q", game.SITUATION_HISTORIES[seat][1]), FixedRng(0.5))
     for history in observed:
         modeler.observe_result({}, history, game.terminal_payoffs("JQK", history))
     for obs in all_observations():
@@ -242,7 +242,7 @@ def test_make_agent_validation():
 
 def test_cfr_trained_agent_loads_profile():
     agent = make_agent(AgentSpec("CFRTrained", {"profile": strategy.nash_profile("LB")}))
-    obs = Observation(3, "A", "KK", 0)
+    obs = Observation(3, "A", "KK")
     assert agent.act(obs, FixedRng(0.999)) == "B"  # c41 = 1
 
 

@@ -401,18 +401,76 @@ def test_relative_cfr_profile_is_read_next_to_the_config(tmp_path, capsys, monke
     assert (code, stderr) == (0, "")
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("verify", "--profile"), ("replay", "--log"),
-    ("tournament", "--config"), ("variance-study", "--config"),
-])
+INPUT_FLAGS = [("verify", "--profile"), ("replay", "--log"),
+               ("tournament", "--config"), ("variance-study", "--config")]
+
+
+@pytest.mark.parametrize("command, flag", INPUT_FLAGS)
 def test_non_utf8_input_is_a_config_error(tmp_path, capsys, command, flag):
     path = tmp_path / "input"
     path.write_bytes(b"\xff\xfe")
     extra = ["--out", str(tmp_path / "t")] if command == "tournament" else []
     code, _, stderr = run(capsys, [command, flag, str(path), *extra])
     assert code == 2
-    assert stderr.startswith(f"configuration error: cannot read {path}: ")
+    assert stderr.startswith(f"configuration error: cannot read {str(path)!r}: ")
     assert len(stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag", INPUT_FLAGS)
+def test_path_with_nul_is_a_config_error(tmp_path, capsys, command, flag):
+    # open rejects the path with a ValueError, before any file system call.
+    path = str(tmp_path / "a\x00b")
+    extra = ["--out", str(tmp_path / "t")] if command == "tournament" else []
+    code, _, stderr = run(capsys, [command, flag, path, *extra])
+    assert code == 2
+    assert stderr.startswith(f"configuration error: cannot read {path!r}: embedded null byte")
+    assert len(stderr.splitlines()) == 1
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command", ["tournament", "variance-study"])
+def test_cfr_profile_path_with_nul_is_a_config_error(tmp_path, capsys, command):
+    code, _, stderr = run(capsys, cfr_trained_argv(tmp_path, command, "a\u0000b"))
+    assert code == 2
+    assert stderr.startswith("configuration error: agents[2]: CFRTrained profile")
+    assert "unreadable: embedded null byte" in stderr
+    assert len(stderr.splitlines()) == 1
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("verify", "1 J 1 not-a-number\n", ": line 1: bad probability"),
+    ("tournament", "[]", ": top level must be an object"),
+], ids=["verify", "tournament"])
+def test_path_with_line_break_is_named_on_one_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "in\nput"
+    path.write_text(text, encoding="utf-8")
+    flag, extra = ("--profile", []) if command == "verify" else \
+        ("--config", ["--out", str(tmp_path / "t")])
+    code, _, stderr = run(capsys, [command, flag, str(path), *extra])
+    assert code == 2
+    assert f"{str(path)!r}{message}" in stderr
+    assert len(stderr.splitlines()) == 1
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("agents, depth", [
+    ("@", 100_000),
+    ([{"kind": "HonestNoBluff", "parameters": {"king_bet": "@"}},
+      {"kind": "NashLB"}, {"kind": "UniformRandom"}], 50_000),
+], ids=["agents", "king_bet"])
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, agents, depth):
+    # json.loads raises RecursionError, not ValueError, about 990 levels down.
+    path = tmp_path / "config.json"
+    nested = "[" * depth + "]" * depth
+    path.write_text(json.dumps({"agents": agents, "master_seed": 0}).replace('"@"', nested),
+                    encoding="utf-8")
+    code, _, stderr = run(capsys, ["tournament", "--config", str(path),
+                                   "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert stderr.startswith(f"configuration error: {str(path)!r}: invalid JSON: ")
+    assert len(stderr.splitlines()) == 1
+    assert not (tmp_path / "t").exists()
 
 
 def _edit_last_row(log, edit):

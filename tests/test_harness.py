@@ -7,9 +7,10 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from kuhn3p import game, harness
-from kuhn3p.agents import Agent, AgentSpec, FrequencyModeler, make_agent
+from kuhn3p import game, harness, strategy
+from kuhn3p.agents import Agent, AgentSpec, FrequencyModeler, ProfileAgent, make_agent
 from kuhn3p.harness import MatchConfig
 
 
@@ -145,6 +146,33 @@ def test_run_match_rejects_bad_deal_indices(deals, bad, batch):
     with pytest.raises(ValueError, match=f"^{bad}is not a game.DEALS index$"):
         harness.run_match(agents, deals, 0)
     assert batch or all(agent.decisions == 0 for agent in agents)
+
+
+class _RecordingProfileAgent(ProfileAgent):
+    """A ProfileAgent that keeps the arguments of every observe_result call."""
+
+    def __init__(self, profile, name):
+        super().__init__(profile, name)
+        self.results = []
+
+    def observe_result(self, revealed, history, payoffs):
+        self.results.append((revealed, history, payoffs))
+
+
+@given(seats=st.permutations(range(3)), hands=st.integers(0, 200), seed=st.integers(0, 2 ** 64 - 1))
+def test_observers_see_exactly_what_the_rules_reveal(seats, hands, seed):
+    # Through the string API: each hand's showdown cards, never a mucked one.
+    pool = [_RecordingProfileAgent(strategy.constant_profile(0.5), "Recorder"),
+            FrequencyModeler(), make_agent(AgentSpec("NashLB"))]
+    cards = harness.deal_sequence(seed, (0,), hands)
+    record = harness.run_match([pool[i] for i in seats], cards, seed)
+    expected = []
+    for o in record.hands:
+        d, t = divmod(o, 13)
+        deal, h = game.DEALS[d], game.TERMINAL_HISTORIES[t]
+        expected.append(({s: deal[s - 1] for s in game.showdown_seats(h)}, h,
+                         game.terminal_payoffs(deal, h)))
+    assert pool[0].results == expected
 
 
 def test_duplicate_set_shares_cards_and_rotates_seats():
