@@ -61,7 +61,7 @@ class ProfileAgent(Agent):
         self.profile = profile
         self.name = name
         #: The profile as floats in all_infoset_keys() order: the one table
-        #: that act and both of the harness's batch paths read.
+        #: that act and harness.run_match's batch comparison read.
         self.probabilities = np.array([float(profile[key]) for key in game.all_infoset_keys()])
         self.probabilities.flags.writeable = False
 

@@ -53,8 +53,11 @@ def _read_profile(path: str, where: str) -> StrategyProfile:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except ValueError as exc:  # open rejects the path: a NUL, or a lone surrogate
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -171,7 +174,10 @@ def _run(harness_call, *args):
 def cmd_tournament(args: argparse.Namespace) -> int:
     pool, config = load_config(args.config)
     report = _run(harness.run_tournament, pool, config)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except ValueError as exc:  # as in _write_text
+        raise ConfigError(f"cannot write {args.out!r}: {exc}") from exc
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):

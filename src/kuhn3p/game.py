@@ -265,6 +265,17 @@ def _root_paths() -> tuple[tuple[tuple[int, int], ...], ...]:
 PATHS = _root_paths()
 DECISION_SLOT = tuple(sum(DECISION_SEAT[m] == seat for m, _ in PATHS[n])
                       for n, seat in enumerate(DECISION_SEAT))
+
+
+def _terminal_of(decisions: int) -> int:
+    n = 0
+    while n < N_DECISIONS:
+        n = AGGRESSIVE_CHILD[n] if decisions >> n & 1 else PASSIVE_CHILD[n]
+    return n
+
+
+#: A hand's decision bits (bit n set: aggressive at node n) -> its terminal node id.
+TERMINAL_OF_DECISIONS = np.array([_terminal_of(b) for b in range(1 << N_DECISIONS)], dtype=np.intp)
 #: Per terminal: the seats that reveal at showdown (showdown_seats).
 SHOWDOWN_SEATS = tuple(showdown_seats(h) for h in TERMINAL_HISTORIES)
 #: (deal, decision node) -> index in all_infoset_keys() of the acting

@@ -145,13 +145,13 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     randomness a pure function of the seed and its position.  The agents
     are played as given, state included; build them with make_agent.
 
-    A lineup of three plain ProfileAgents plays every hand at once on the
-    compiled tree (`_play_profiles`); any other lineup takes the
-    per-decision loop (`_play_each`), which decides the nodes of plain
-    ProfileAgents in one batch up front and asks every other agent,
-    ProfileAgent subclasses included, at each of its decisions.  All give
-    identical records for the same inputs.  Raises ValueError, before
-    any hand is played, for a deal that is not an index of game.DEALS.
+    Each plain ProfileAgent (exact type) is decided for every hand up
+    front by ProfileAgent.act's comparison on the same uniforms, into bit
+    n of the hand's decisions at each node n it acts at.  Three plain
+    ProfileAgents end each hand at game.TERMINAL_OF_DECISIONS; any other
+    lineup takes the per-decision loop (`_play_each`), which asks every
+    other agent, ProfileAgent subclasses included.  Raises ValueError,
+    before any hand is played, for a deal that does not index game.DEALS.
     """
     if len(agents) != 3:
         raise ValueError(f"a match needs exactly 3 agents, got {len(agents)}")
@@ -160,36 +160,34 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     gen = np.random.Generator(np.random.Philox(seq))
     # Seats 1 and 2 act at most twice per hand, seat 3 at most once.
     uniforms = gen.random((len(deals), 3, 2))
-    play = _play_profiles if all(type(agent) is ProfileAgent for agent in agents) else _play_each
-    node = play(agents, deals, uniforms)
+    fixed = []  # per decision node: its bit where a plain ProfileAgent acts, else 0
+    decisions = np.zeros(len(deals), dtype=np.intp)
+    for n, seat in enumerate(DECISION_SEAT):
+        fixed.append(1 << n if type(agents[seat - 1]) is ProfileAgent else 0)
+        if fixed[n]:
+            decisions |= (uniforms[:, seat - 1, DECISION_SLOT[n]]
+                          < agents[seat - 1].probabilities[game.INFOSET_INDEX[deals, n]]) << n
+    node = (game.TERMINAL_OF_DECISIONS[decisions] if all(fixed)
+            else _play_each(agents, deals, uniforms, fixed, decisions))
     hands = deals * game.N_TERMINALS + node - N_DECISIONS
     totals = tuple(int(total) for total in game.OUTCOME_PAYOFFS[hands].sum(axis=0))
     return MatchRecord(tuple(agent.name for agent in agents), totals, hands.tolist())
 
 
-def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The per-decision match loop: every hand walks the tree from the root,
-    asking the acting agent at each decision node; returns each hand's
-    terminal node id.  A plain ProfileAgent is not asked: its nodes are
-    decided for every hand up front, by ProfileAgent.act's comparison on
-    the same uniforms, into bytes read at index * N_DECISIONS + n."""
+def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray,
+               fixed: Sequence[int], decisions: np.ndarray) -> np.ndarray:
+    """The per-decision match loop, returning each hand's terminal node
+    id: at a node n with fixed[n] set the hand follows that bit of its
+    decisions (run_match); at any other node the acting agent is asked."""
     observers = [a for a in agents if type(a).observe_result is not Agent.observe_result]
-    decided = [type(agents[seat - 1]) is ProfileAgent for seat in DECISION_SEAT]
-    aggressive_at = np.zeros((len(deals), N_DECISIONS), dtype=bool)
-    for n in itertools.compress(range(N_DECISIONS), decided):
-        i = DECISION_SEAT[n] - 1
-        aggressive_at[:, n] = (uniforms[:, i, DECISION_SLOT[n]]
-                               < agents[i].probabilities[game.INFOSET_INDEX[deals, n]])
-    aggressive_at = aggressive_at.tobytes()
     rng = _SlotRng()
     terminals = []
-    for index, deal in enumerate(game.DEALS[d] for d in deals.tolist()):
-        row = uniforms[index]
-        base = index * N_DECISIONS
+    hands = zip((game.DEALS[d] for d in deals.tolist()), decisions.tolist(), uniforms)
+    for index, (deal, bits, row) in enumerate(hands):
         n = 0
         while n < N_DECISIONS:
-            if decided[n]:
-                n = AGGRESSIVE_CHILD[n] if aggressive_at[base + n] else PASSIVE_CHILD[n]
+            if fixed[n]:
+                n = AGGRESSIVE_CHILD[n] if bits & fixed[n] else PASSIVE_CHILD[n]
                 continue
             i = DECISION_SEAT[n] - 1
             rng.value = row[i, DECISION_SLOT[n]]
@@ -211,23 +209,6 @@ def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray)
             for agent in observers:
                 agent.observe_result(revealed, h, game.PAYOFF_TABLE[deal][h])
     return np.array(terminals, dtype=np.intp)
-
-
-def _play_profiles(agents: Sequence[ProfileAgent], deals: np.ndarray,
-                   uniforms: np.ndarray) -> np.ndarray:
-    """The match loop for three stateless ProfileAgents, over every hand at
-    once: each decision node in parent-before-child order moves the hands
-    standing on it to a child, making the same `uniform < probability`
-    comparison as ProfileAgent.act with the same pre-drawn uniform.
-    Returns each hand's terminal node id."""
-    node = np.zeros(len(deals), dtype=np.intp)  # every hand starts at the root
-    for n in range(N_DECISIONS):
-        here = np.flatnonzero(node == n)
-        i = DECISION_SEAT[n] - 1
-        aggressive = (uniforms[here, i, DECISION_SLOT[n]]
-                      < agents[i].probabilities[game.INFOSET_INDEX[deals[here], n]])
-        node[here] = np.where(aggressive, AGGRESSIVE_CHILD[n], PASSIVE_CHILD[n])
-    return node
 
 
 def _slot_totals(matches: Sequence[MatchRecord]) -> tuple[int, int, int]:
@@ -321,17 +302,18 @@ class TournamentReport:
 def pool_labels(pool: Sequence[AgentSpec]) -> list[str]:
     """Each pool entry's label: its name, or else its kind, suffixed #1,
     #2, ... when the pool repeats that kind (named entries included in the
-    count).  A label names its agent in the '# seats:' line of a match log,
-    so ValueError names the entry agents[i] whose label is not a non-empty
-    string free of ',' and line breaks, or repeats an earlier label."""
+    count).  A label names its agent in a match log's '# seats:' line, so
+    ValueError names the entry agents[i] whose label is not a non-empty
+    string free of ',', line breaks and surrogates, or repeats an earlier one."""
     kinds = [spec.kind for spec in pool]
     labels: list[str] = []
     for i, (spec, kind) in enumerate(zip(pool, kinds)):
         numbered = kind if kinds.count(kind) == 1 else f"{kind}#{kinds[:i + 1].count(kind)}"
         label = numbered if spec.name is None else spec.name
-        if not isinstance(label, str) or "," in label or label.splitlines() != [label]:
+        if not isinstance(label, str) or "," in label or label.splitlines() != [label] \
+                or any("\ud800" <= c <= "\udfff" for c in label):  # UTF-8 cannot write these
             raise ValueError(f"agents[{i}]: label {label!r} must be a non-empty string "
-                             f"without ',' or a line break")
+                             f"without ',', a line break or a lone surrogate")
         if label in labels:
             raise ValueError(f"agents[{i}]: label {label!r} names more than one agent; "
                              f"give each a distinct name")

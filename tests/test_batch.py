@@ -1,13 +1,14 @@
-"""The batch match paths against the per-decision reference loop.
+"""Fixed-profile play against the per-decision reference loop.
 
-run_match plays a lineup of three plain ProfileAgents on the compiled tree.
-Every other lineup takes the per-decision loop, which decides each plain
-ProfileAgent's seat for all hands up front and asks every other agent at
-each of its decisions.  A subclass that changes nothing is still asked,
-which makes it the reference here: each path must give the records, and
-the byte-identical logs, of the same lineup of subclasses, and the log
-must equal a csv.writer rendering of every hand decoded through the
-string API.
+run_match decides every plain ProfileAgent's seat for all hands up front,
+as each hand's decision bits.  A lineup of three plain ProfileAgents reads
+each hand's terminal from game.TERMINAL_OF_DECISIONS; every other lineup
+takes the per-decision loop, which follows those bits and asks every other
+agent at each of its decisions.  A subclass that changes nothing is still
+asked, which makes it the reference here: every lineup must give the
+records, and the byte-identical logs, of the same lineup of subclasses,
+and the log must equal a csv.writer rendering of every hand decoded
+through the string API.
 """
 
 from __future__ import annotations
@@ -101,27 +102,34 @@ def test_plain_profile_lineup_never_calls_act(monkeypatch):
     assert len(record.hands) == 200
 
 
-def modeler_lineup(cls, pool, seats, smoothing):
-    """A fresh FrequencyModeler in seats[0], pool's agents in seats[1:]."""
+def modeler_lineup(cls, pool, seats, smoothing, modelers=1):
+    """A fresh FrequencyModeler in each of seats[:modelers], pool's agents
+    in the other seats."""
     agents = [None] * 3
-    agents[seats[0]] = FrequencyModeler(smoothing)
-    for seat, (i, profile) in zip(seats[1:], enumerate(pool)):
+    for seat in seats[:modelers]:
+        agents[seat] = FrequencyModeler(smoothing)
+    for seat, (i, profile) in zip(seats[modelers:], enumerate(pool)):
         agents[seat] = cls(profile, f"P{i}")
     return agents
 
 
 @given(pool=st.tuples(profiles, profiles),
        seats=st.permutations(range(3)),
+       modelers=st.integers(1, 2),
        smoothing=st.floats(0.1, 10),
        hands=st.integers(0, 300),
        seed=st.integers(0, 2 ** 64 - 1))
 @example(pool=(strategy.nash_profile("LB"), strategy.nash_profile("UB")), seats=[0, 1, 2],
-         smoothing=1.0, hands=0, seed=0)
-def test_modeler_lineup_equals_scalar_reference(pool, seats, smoothing, hands, seed):
+         modelers=1, smoothing=1.0, hands=0, seed=0)
+@example(pool=(strategy.nash_profile("UB"), strategy.nash_profile("LB")), seats=[2, 0, 1],
+         modelers=2, smoothing=1.0, hands=300, seed=0)
+def test_modeler_lineup_equals_scalar_reference(pool, seats, modelers, smoothing, hands, seed):
+    # One or two fixed seats, anywhere, beside one or two modelers.
     cards = harness.deal_sequence(seed, (0,), hands)
-    mixed = harness.run_match(modeler_lineup(ProfileAgent, pool, seats, smoothing), cards, seed)
-    scalar = harness.run_match(modeler_lineup(ReferenceProfileAgent, pool, seats, smoothing),
-                               cards, seed)
+    mixed = harness.run_match(modeler_lineup(ProfileAgent, pool, seats, smoothing, modelers),
+                              cards, seed)
+    scalar = harness.run_match(
+        modeler_lineup(ReferenceProfileAgent, pool, seats, smoothing, modelers), cards, seed)
     assert mixed == scalar
     assert [o // 13 for o in mixed.hands] == cards.tolist()
     assert harness.match_log(mixed) == harness.match_log(scalar) == reference_log(mixed)

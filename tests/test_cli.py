@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kuhn3p import agents, cli, harness, strategy
 
@@ -313,6 +317,10 @@ def test_cli_builds_each_pool_entry_once(tmp_path, capsys, monkeypatch, argv):
     {"agents": [{"kind": "FrequencyModeler", "parameters": {"smoothing": 10 ** 400}},
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
+    # A lone surrogate, which no UTF-8 log or report can hold.
+    {"agents": [{"kind": "NashLB", "name": "\ud800"},
+                {"kind": "UniformRandom"},
+                {"kind": "AlwaysAggressive"}]},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {
@@ -428,6 +436,20 @@ def test_path_with_nul_is_a_config_error(tmp_path, capsys, command, flag):
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "train-cfr", "tournament", "variance-study"])
+def test_out_path_with_nul_is_a_config_error(tmp_path, capsys, command):
+    # open and os.makedirs reject the path with a ValueError; nothing is written.
+    config = write_config(tmp_path, hands_per_match=3)
+    flags = {"solve": ["--variant", "LB"], "train-cfr": ["--iters", "3"],
+             "tournament": ["--config", config],
+             "variance-study": ["--config", config, "--replications", "30"]}[command]
+    out = str(tmp_path / "a\x00b")
+    code, stdout, stderr = run(capsys, [command, *flags, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"configuration error: cannot write {out!r}: embedded null byte\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 @pytest.mark.parametrize("command", ["tournament", "variance-study"])
 def test_cfr_profile_path_with_nul_is_a_config_error(tmp_path, capsys, command):
     code, _, stderr = run(capsys, cfr_trained_argv(tmp_path, command, "a\u0000b"))
@@ -519,3 +541,100 @@ def test_replay_requires_seats_header(tmp_path, capsys):
     code, _, stderr = run(capsys, ["replay", "--log", str(log)])
     assert code == 1
     assert stderr == "replay mismatch: log has no '# seats:' line naming three agents\n"
+
+
+# --- The CLI contract, as one property --------------------------------------
+# Whatever the config and the numeric flags, cli.main returns: 0, or 2 with
+# one stderr line, nothing on stdout and no --out path, or 1 from verify
+# (a profile that misses its threshold).  The caps keep every run small.
+
+_ODD_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["", ",", "a,b", "a\nb", "\r", "\x00", "\ud800", "\udcff", "NashLB", "../x", "é", " "]))
+_ODD = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _ODD_TEXT,
+              st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_ODD_TEXT, inner, max_size=3)),
+    max_leaves=6)
+
+
+def _below(low):
+    """_ODD without the ints >= low, which a count field would accept."""
+    return _ODD.filter(lambda v: not isinstance(v, int) or isinstance(v, bool) or v < low)
+
+
+_PATHS = st.sampled_from(["lb.profile", "bad.profile", "missing.profile", ".", "a\x00b", "\ud800"])
+_KEYS = ("agents", "master_seed", "hands_per_match", "matches_per_permutation",
+         "normalization_divisor", "kind", "name", "parameters", "profile", "king_bet",
+         "smoothing", "bogus")
+
+
+@st.composite
+def _configs(draw):
+    """JSON text of a valid config of 3 or 4 agents with up to three fields,
+    at any depth, removed or set to odd values; one in ten is odd throughout."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(_ODD))
+    kinds = draw(st.lists(st.sampled_from(agents.AGENT_KINDS), min_size=3, max_size=4))
+    entries = [{"kind": kind, "parameters": {"profile": "lb.profile"} if kind == "CFRTrained" else {}}
+               for kind in kinds]
+    config = {"agents": entries, "master_seed": draw(st.integers(min_value=0)),
+              "hands_per_match": draw(st.integers(1, 12)),
+              "matches_per_permutation": draw(st.integers(1, 2))}
+    for _ in range(draw(st.integers(0, 3))):
+        objects = [config, *entries, *(entry.get("parameters") for entry in entries)]
+        target = draw(st.sampled_from([o for o in objects if isinstance(o, dict)]))
+        key = draw(st.sampled_from(_KEYS))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        elif key in ("hands_per_match", "matches_per_permutation"):
+            target[key] = draw(st.one_of(_below(1), st.just(harness.MAX_HANDS_PER_MATCH + 1)))
+        else:
+            target[key] = draw(st.one_of(_ODD, _PATHS, st.floats(0, 10)))
+    return json.dumps(config)
+
+
+_NESTED = '{"agents": ' + "[" * 100_000 + "]" * 100_000 + ', "master_seed": 0}'
+_VALID = json.dumps({"agents": [{"kind": "FrequencyModeler"}, {"kind": "NashLB"},
+                                {"kind": "CFRTrained", "parameters": {"profile": "lb.profile"}}],
+                     "hands_per_match": 12, "matches_per_permutation": 1, "master_seed": 0})
+
+
+@settings(max_examples=400)
+@given(command=st.sampled_from(["tournament", "variance-study", "verify", "train-cfr"]),
+       config=_configs(), threshold=st.floats(), iters=st.integers(max_value=200),
+       replications=st.one_of(st.just(30), st.integers(max_value=30)),
+       out=st.sampled_from(["out", "new/out", "a\x00b", "\ud800"]))
+@example(command="tournament", config=_NESTED, threshold=0.0, iters=0, replications=30,
+         out="out")
+@example(command="variance-study", config=_VALID.replace("lb.profile", "a\\u0000b"),
+         threshold=0.0, iters=0, replications=30, out="out")
+@example(command="tournament", config=_VALID, threshold=0.0, iters=0, replications=30,
+         out="a\x00b")
+def test_cli_contract(command, config, threshold, iters, replications, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, out)
+        Path(config_path).write_text(config, encoding="utf-8")
+        Path(tmp, "lb.profile").write_text(
+            strategy.serialize_profile(strategy.nash_profile("LB")), encoding="utf-8")
+        Path(tmp, "bad.profile").write_text("1 J 1 2\n", encoding="utf-8")
+        ub = os.path.join(tmp, "ub.profile")
+        Path(ub).write_text(strategy.serialize_profile(strategy.nash_profile("UB")),
+                            encoding="utf-8")
+        argv = {"tournament": ["--config", config_path, "--out", out],
+                "variance-study": ["--config", config_path, f"--replications={replications}",
+                                   "--out", out],
+                "verify": ["--profile", ub, f"--threshold={threshold!r}"],
+                "train-cfr": [f"--iters={iters}", "--out", out]}[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *argv])
+        stdout, stderr = stdout.getvalue(), stderr.getvalue()
+        stdout.encode("utf-8"), stderr.encode("utf-8")  # a terminal can show them
+        assert code in ((0, 1, 2) if command == "verify" else (0, 2))
+        if code == 2:
+            assert stdout == ""
+            assert len(stderr.splitlines()) == 1, stderr
+            assert not os.path.lexists(out)
+        else:
+            assert stderr == ""

@@ -203,6 +203,16 @@ def test_every_decision_history_reachable_and_extendable():
             assert game.is_terminal(nxt) or nxt in game.DECISION_HISTORIES
 
 
+def test_terminal_of_decisions_matches_string_walk():
+    # Bit n of the index is the action at decision node n, 1 for aggressive.
+    assert len(game.TERMINAL_OF_DECISIONS) == 1 << game.N_DECISIONS
+    for bits in range(1 << game.N_DECISIONS):
+        h = ""
+        while not game.is_terminal(h):
+            h += game.action_pair(h)[bits >> game.NODE_ID[h] & 1]
+        assert game.TERMINAL_OF_DECISIONS[bits] == game.NODE_ID[h]
+
+
 def test_compiled_tables_match_string_api():
     assert game.NODES == game.DECISION_HISTORIES + game.TERMINAL_HISTORIES
     assert all(game.NODES[game.NODE_ID[h]] == h for h in game.ALL_HISTORIES)
