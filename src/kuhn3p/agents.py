@@ -118,9 +118,9 @@ _DESCENDANTS = tuple(tuple(m for m in reversed(range(N_DECISIONS))
 
 
 class FrequencyModeler(Agent):
-    """Opponent modeler: tracks per-seat, per-situation aggressive
-    frequencies with additive smoothing and plays greedy expectimax against
-    the modeled behavior.
+    """Opponent modeler: tracks the aggressive frequency at every decision
+    node with additive smoothing and plays greedy expectimax against its
+    opponents' smoothed frequencies.
 
     The model is card-independent, so observed opponent actions carry no
     information about hidden cards and the posterior over the unseen deals
@@ -132,17 +132,17 @@ class FrequencyModeler(Agent):
 
     def __init__(self, smoothing: float = 1.0) -> None:
         self.smoothing = finite_positive(smoothing, "smoothing")
-        self._counts: dict[tuple[Seat, int], list[int]] = {}
-        self._seat: Optional[Seat] = None
+        #: Per decision node: [passive, aggressive] counts of the actions seen there.
+        self._counts = [[0, 0] for _ in range(N_DECISIONS)]
 
-    def estimate(self, seat: Seat, situation: int) -> float:
-        """Smoothed aggressive frequency for an opponent decision point."""
-        passive, aggressive = self._counts.get((seat, situation), (0, 0))
+    def estimate(self, n: int) -> float:
+        """Smoothed aggressive frequency at decision node n."""
+        passive, aggressive = self._counts[n]
         s = self.smoothing
         return (aggressive + s) / (passive + aggressive + 2 * s)
 
     def act(self, obs: Observation, rng) -> Action:
-        self._seat = seat = obs.seat
+        seat = obs.seat
         n = game.NODE_ID[obs.history]
         passive, aggressive = DECISION_ACTIONS[n]
         estimate = self.estimate
@@ -153,27 +153,23 @@ class FrequencyModeler(Agent):
         value = _TERMINAL_MEANS[seat, obs.private_card][:]
         for m in _DESCENDANTS[n]:
             v_passive, v_aggressive = value[PASSIVE_CHILD[m]], value[AGGRESSIVE_CHILD[m]]
-            actor = DECISION_SEAT[m]
-            if actor == seat:
+            if DECISION_SEAT[m] == seat:
                 value[m] = v_aggressive if v_aggressive > v_passive else v_passive
             else:
-                f = estimate(actor, DECISION_SITUATION[m])
+                f = estimate(m)
                 value[m] = (1.0 - f) * v_passive + f * v_aggressive
         return aggressive if value[AGGRESSIVE_CHILD[n]] > value[PASSIVE_CHILD[n]] else passive
 
     def observe_result(self, revealed: Mapping[Seat, Card],
                        history: ActionHistory,
                        payoffs: tuple[int, int, int]) -> None:
-        # Count every public opponent action; own actions are skipped.  The
-        # model keys on the acting seat, which identifies the opponent for
-        # the duration of a match.  Mucked cards are never passed in, and the
-        # card-independent model has no use for the revealed ones.
-        if self._seat is None:
-            return
+        # Count every public action at its node.  A modeler keeps one seat
+        # for a whole match (each match seats a fresh copy), so a node's
+        # acting seat identifies one opponent, and act never reads the
+        # counts at the modeler's own nodes.  Mucked cards are never passed
+        # in, and the card-independent model has no use for the revealed ones.
         for n, action in game.PATHS[game.NODE_ID[history]]:
-            actor = DECISION_SEAT[n]
-            if actor != self._seat:
-                self._counts.setdefault((actor, DECISION_SITUATION[n]), [0, 0])[action] += 1
+            self._counts[n][action] += 1
 
 
 # Every agent kind, with the parameters it accepts.

@@ -53,14 +53,27 @@ def _read_profile(path: str, where: str) -> StrategyProfile:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write text to a path that _check_out has accepted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _check_out(path: str, directory: bool) -> None:
+    """Before a command runs, a ConfigError for an --out path that its
+    writes would fail on: one holding a NUL or a lone surrogate, a directory
+    naming an existing non-directory, or a file in a missing directory."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except ValueError as exc:  # open rejects the path: a NUL, or a lone surrogate
+        if b"\0" in os.fsencode(path):  # fsencode raises for a lone surrogate
+            raise ValueError("embedded null byte")
+    except ValueError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    where = path if directory else os.path.dirname(path) or "."
+    _require(os.path.isdir(where) or directory and not os.path.lexists(where),
+             f"cannot write {path!r}: {where!r} is not a directory")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_out(args.out, directory=False)
     profile = strategy.nash_profile(args.variant)
     header = f"{args.variant} parameter table, completed by strict dominance"
     _write_text(args.out, strategy.serialize_profile(profile, header=header))
@@ -95,6 +108,7 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
     if args.iters < 0:
         print(f"--iters must be >= 0, got {args.iters}", file=sys.stderr)
         return 2
+    _check_out(args.out, directory=False)
     trainer = equilibrium.CfrTrainer()
     rows = []
     done = 0
@@ -173,11 +187,9 @@ def _run(harness_call, *args):
 
 def cmd_tournament(args: argparse.Namespace) -> int:
     pool, config = load_config(args.config)
+    _check_out(args.out, directory=True)
     report = _run(harness.run_tournament, pool, config)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except ValueError as exc:  # as in _write_text
-        raise ConfigError(f"cannot write {args.out!r}: {exc}") from exc
+    os.makedirs(args.out, exist_ok=True)
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
@@ -201,6 +213,8 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
 def cmd_variance_study(args: argparse.Namespace) -> int:
     triple, config = load_config(args.config)
+    if args.out:
+        _check_out(args.out, directory=False)
     study = _run(harness.variance_study, triple, config, args.replications)
     record = {"studied_agent": study.agents[0], **asdict(study)}
     if args.out:

@@ -3,6 +3,7 @@ spec validation."""
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction as F
 
 import numpy as np
@@ -120,40 +121,55 @@ def test_honest_no_bluff_king_bet_parameter():
     assert agent.act(obs, FixedRng(0.0)) == "K"
 
 
+def node(seat, situation):
+    """The decision node at which seat meets situation."""
+    return game.NODE_ID[game.SITUATION_HISTORIES[seat][situation]]
+
+
 def test_modeler_prior_is_one_half():
     modeler = agents.FrequencyModeler(smoothing=1.0)
     for seat in (1, 2, 3):
         for situation in (1, 2, 3, 4):
-            assert modeler.estimate(seat, situation) == 0.5
+            assert modeler.estimate(node(seat, situation)) == 0.5
 
 
 def test_modeler_counts_public_actions():
     modeler = agents.FrequencyModeler(smoothing=1.0)
-    modeler.act(Observation(1, "Q", ""), FixedRng(0.5))  # binds the seat
-    # KKBFF: seats 1 and 2 check, seat 3 bets, seats 1 and 2 fold.  From
-    # seat 1 the countable opponent actions are seat 2's check (situation
-    # 1), seat 3's bet (situation 1), and seat 2's fold (situation 3).
+    # KKBFF: seats 1 and 2 check, seat 3 bets, seats 1 and 2 fold.  Every
+    # action is counted at its node: seat 1's check (situation 1) and fold
+    # (situation 2), seat 2's check (situation 1) and fold (situation 3),
+    # and seat 3's bet (situation 1).
     modeler.observe_result({}, "KKBFF", (-1, -1, 2))
-    assert modeler.estimate(3, 1) == pytest.approx(2 / 3)  # one bet observed
-    assert modeler.estimate(2, 1) == pytest.approx(1 / 3)  # one check observed
-    assert modeler.estimate(2, 3) == pytest.approx(1 / 3)  # one fold observed
-    assert modeler.estimate(3, 2) == 0.5  # never observed
+    assert modeler.estimate(node(3, 1)) == pytest.approx(2 / 3)  # one bet observed
+    assert modeler.estimate(node(2, 1)) == pytest.approx(1 / 3)  # one check observed
+    assert modeler.estimate(node(2, 3)) == pytest.approx(1 / 3)  # one fold observed
+    assert modeler.estimate(node(3, 2)) == 0.5  # never observed
+    # Seat 1's own nodes hold counts too, but its decisions never read them,
+    # not even once the counts there are lopsided.
+    own = [game.NODE_ID[""], game.NODE_ID["KKB"]]
+    assert [modeler._counts[n] for n in own] == [[1, 0], [1, 0]]
+    for _ in range(50):
+        modeler.observe_result({}, "KKBCC", (-2, -2, 4))
+    blind = copy.deepcopy(modeler)
+    for n in own:
+        blind._counts[n] = [0, 0]
+    for obs in all_observations():
+        if obs.seat == 1:
+            assert modeler.act(obs, FixedRng(0.5)) == blind.act(obs, FixedRng(0.5)), obs
 
 
 def test_modeler_estimates_stay_interior():
     modeler = agents.FrequencyModeler(smoothing=1.0)
-    modeler.act(Observation(1, "Q", ""), FixedRng(0.5))
     for _ in range(1000):
         modeler.observe_result({}, "KKBFF", (-1, -1, 2))
-    assert 0.0 < modeler.estimate(3, 1) < 1.0
-    assert 0.0 < modeler.estimate(2, 3) < 1.0
+    assert 0.0 < modeler.estimate(node(3, 1)) < 1.0
+    assert 0.0 < modeler.estimate(node(2, 3)) < 1.0
 
 
 def test_modeler_exploits_folding_opponents():
     # After watching both opponents fold to every bet, betting any card
     # from seat 1 shows an immediate profit; the modeler must bluff.
     modeler = agents.FrequencyModeler(smoothing=1.0)
-    modeler.act(Observation(1, "J", ""), FixedRng(0.5))
     for _ in range(200):
         modeler.observe_result({}, "BFF", (2, -1, -1))
     assert modeler.act(Observation(1, "J", ""), FixedRng(0.5)) == "B"
@@ -165,8 +181,6 @@ def test_modeler_decision_ignores_hidden_cards():
     a = agents.FrequencyModeler()
     b = agents.FrequencyModeler()
     history, payoffs = "KKBFF", (-1, -1, 2)
-    for modeler in (a, b):
-        modeler.act(Observation(1, "Q", ""), FixedRng(0.5))
     a.observe_result({}, history, payoffs)
     b.observe_result({}, history, payoffs)
     obs = Observation(1, "Q", "")
@@ -188,21 +202,18 @@ def string_expectimax(modeler, deals, seat, h):
     if game.is_terminal(h):
         return sum(game.terminal_payoffs(d, h)[seat - 1] for d in deals) / len(deals)
     values = [string_expectimax(modeler, deals, seat, h + a) for a in game.action_pair(h)]
-    actor = game.acting_seat(h)
-    if actor == seat:
+    if game.acting_seat(h) == seat:
         return max(values)
-    f = modeler.estimate(actor, game.situation_of(actor, h))
+    f = modeler.estimate(game.NODE_ID[h])
     return (1.0 - f) * values[0] + f * values[1]
 
 
 @given(smoothing=st.floats(0.1, 10, allow_nan=False, allow_infinity=False),
-       seat=st.sampled_from(game.SEATS),
        observed=st.lists(st.sampled_from(game.TERMINAL_HISTORIES), max_size=30))
-@example(smoothing=0.5, seat=1,
+@example(smoothing=0.5,
          observed=[h for i, h in enumerate(game.TERMINAL_HISTORIES) for _ in range(i)])
-def test_modeler_act_matches_string_expectimax(smoothing, seat, observed):
+def test_modeler_act_matches_string_expectimax(smoothing, observed):
     modeler = agents.FrequencyModeler(smoothing=smoothing)
-    modeler.act(Observation(seat, "Q", game.SITUATION_HISTORIES[seat][1]), FixedRng(0.5))
     for history in observed:
         modeler.observe_result({}, history, game.terminal_payoffs("JQK", history))
     for obs in all_observations():

@@ -450,6 +450,39 @@ def test_out_path_with_nul_is_a_config_error(tmp_path, capsys, command):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("command, out, reason", [
+    ("tournament", "a\x00b", "embedded null byte"),
+    ("variance-study", "a\x00b", "embedded null byte"),
+    ("tournament", "\ud800", "'utf-8' codec can't encode character '\\ud800' in position 0: "
+                             "surrogates not allowed"),
+    ("variance-study", "\ud800", "'utf-8' codec can't encode character '\\ud800' in position 0: "
+                                 "surrogates not allowed"),
+    ("tournament", "afile", "'afile' is not a directory"),
+    ("variance-study", "new/out", "'new' is not a directory"),
+    ("train-cfr", "new/out", "'new' is not a directory"),
+], ids=["tournament-nul", "variance-study-nul", "tournament-surrogate",
+        "variance-study-surrogate", "tournament-existing-file", "variance-study-missing-parent",
+        "train-cfr-missing-parent"])
+def test_unwritable_out_is_rejected_before_the_run(tmp_path, capsys, monkeypatch, command, out,
+                                                   reason):
+    def refuse(*args):
+        raise AssertionError("the run started")
+
+    for owner, name in ((harness, "run_tournament"), (harness, "variance_study"),
+                        (cli.equilibrium, "CfrTrainer")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, hands_per_match=3)
+    Path("afile").write_text("kept\n", encoding="utf-8")
+    flags = {"tournament": ["--config", config], "train-cfr": ["--iters", "3"],
+             "variance-study": ["--config", config, "--replications", "30"]}[command]
+    code, stdout, stderr = run(capsys, [command, *flags, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert stderr == f"configuration error: cannot write {out!r}: {reason}\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
+    assert Path("afile").read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["tournament", "variance-study"])
 def test_cfr_profile_path_with_nul_is_a_config_error(tmp_path, capsys, command):
     code, _, stderr = run(capsys, cfr_trained_argv(tmp_path, command, "a\u0000b"))
@@ -548,6 +581,17 @@ def test_replay_requires_seats_header(tmp_path, capsys):
 # one stderr line, nothing on stdout and no --out path, or 1 from verify
 # (a profile that misses its threshold).  The caps keep every run small.
 
+def _main(argv):
+    """cli.main(argv) and what it printed, for tests that cannot take capsys.
+    Both outputs must encode, so that a terminal can show them."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    stdout.encode("utf-8"), stderr.encode("utf-8")
+    return code, stdout, stderr
+
+
 _ODD_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
     ["", ",", "a,b", "a\nb", "\r", "\x00", "\ud800", "\udcff", "NashLB", "../x", "é", " "]))
 _ODD = st.recursive(
@@ -626,11 +670,7 @@ def test_cli_contract(command, config, threshold, iters, replications, out):
                                    "--out", out],
                 "verify": ["--profile", ub, f"--threshold={threshold!r}"],
                 "train-cfr": [f"--iters={iters}", "--out", out]}[command]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, *argv])
-        stdout, stderr = stdout.getvalue(), stderr.getvalue()
-        stdout.encode("utf-8"), stderr.encode("utf-8")  # a terminal can show them
+        code, stdout, stderr = _main([command, *argv])
         assert code in ((0, 1, 2) if command == "verify" else (0, 2))
         if code == 2:
             assert stdout == ""
@@ -638,3 +678,76 @@ def test_cli_contract(command, config, threshold, iters, replications, out):
             assert not os.path.lexists(out)
         else:
             assert stderr == ""
+
+
+# The same contract for the two commands that read a file the CLI wrote:
+# verify on a mutated `solve` profile text, replay on a mutated match log.
+
+_SOLVED = [strategy.serialize_profile(
+    strategy.nash_profile(variant), header=f"{variant} parameter table, completed by strict dominance")
+    for variant in ("LB", "UB")]
+_LOGGED = harness.match_log(
+    harness.run_match([agents.make_agent(agents.AgentSpec(kind))
+                       for kind in ("FrequencyModeler", "NashLB", "UniformRandom")],
+                      harness.deal_sequence(0, (0,), 12), 0),
+    header=["grouping: 0-1-2 (FrequencyModeler,NashLB,UniformRandom)", "set: 0"])
+_PROFILE_FIELDS = st.sampled_from(["nan", "inf", "1/0", "1e400", "9" * 5000, "\u0661",
+                                   "\u0660.\u0665", "1/\u0663", "0", "1", "1e-400"])
+_LOG_FIELDS = st.sampled_from(["", " ", "\u2028", "x", "J", "A", "KKK", "BFF", "0", "-1", "3",
+                               "-0", "+2", "\u0662", "# seats: a,b,c", "hand", "2" * 5000])
+
+
+@st.composite
+def _mutated(draw, texts, separator, fields):
+    """One of texts, its lines dropped, duplicated, swapped, a field
+    replaced or a space, a separator or a U+2028 put inside one, up to
+    three times, UTF-8 encoded, with non-UTF-8 bytes added to one in ten."""
+    lines = draw(st.sampled_from(texts)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "field", "field", "insert"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "field":
+            split = lines[i].split(separator)
+            split[draw(st.integers(0, len(split) - 1))] = draw(fields)
+            lines[i] = separator.join(split)
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            inserted = draw(st.sampled_from([" ", separator, "\u2028"]))
+            lines[i] = lines[i][:at] + inserted + lines[i][at:]
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(st.just("verify"), _mutated(_SOLVED, " ", _PROFILE_FIELDS)),
+                 st.tuples(st.just("replay"), _mutated([_LOGGED], ",", _LOG_FIELDS))))
+@example(("verify", _SOLVED[0].replace("1 K 3 1/2", "1 K 3 1/0").encode("utf-8")))
+@example(("verify", _SOLVED[1].encode("utf-8")))
+@example(("replay", _LOGGED.replace("# seats: ", "# seats:\u2028").encode("utf-8")))
+@example(("replay", _LOGGED.replace(",KKK,", ", KKK,").encode("utf-8")))
+def test_cli_read_contract(command_data):
+    command, data = command_data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        Path(path).write_bytes(data)
+        flag = "--profile" if command == "verify" else "--log"
+        code, stdout, stderr = _main([command, flag, path])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert stderr == ""
+    elif command == "verify" and code == 1:  # the report, on stdout
+        assert stderr == "" and stdout.splitlines()[-1].startswith("not verified: ")
+    else:
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1, stderr

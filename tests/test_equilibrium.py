@@ -238,7 +238,7 @@ def test_tree_walks_call_no_string_helpers(monkeypatch):
     # A scalar match with an observing FrequencyModeler, and its replay.
     agents = [make_agent(AgentSpec(kind)) for kind in ("FrequencyModeler", "NashLB", "UniformRandom")]
     record = harness.run_match(agents, harness.deal_sequence(3, (1,), 200), 3)
-    assert agents[0]._counts
+    assert max(map(max, agents[0]._counts)) > 0
     assert harness.replay_match_log(harness.match_log(record)) == record
 
 

@@ -338,7 +338,7 @@ def test_tournament_builds_each_stateless_agent_once(monkeypatch):
 
     def recording_run_match(agents, deals, seed):
         modelers = [agent for agent in agents if isinstance(agent, FrequencyModeler)]
-        seated.append([(agent, dict(agent._counts)) for agent in modelers])
+        seated.append([(agent, sum(map(sum, agent._counts))) for agent in modelers])
         return run_match(agents, deals, seed)
 
     monkeypatch.setattr(harness, "make_agent", recording_make_agent)
@@ -349,7 +349,7 @@ def test_tournament_builds_each_stateless_agent_once(monkeypatch):
     assert [agent.name for agent in built] == ["FrequencyModeler", "NashLB", "UniformRandom"]
     assert len(seated) == 6 * config.matches_per_permutation
     # Every match seats its own modeler, unplayed, never the pool's instance.
-    assert all(len(modelers) == 1 and modelers[0][1] == {} for modelers in seated)
+    assert all(len(modelers) == 1 and modelers[0][1] == 0 for modelers in seated)
     instances = [built[0]] + [modelers[0][0] for modelers in seated]
     assert len({id(agent) for agent in instances}) == len(instances)
     assert sum(r.total_chips for r in report.agents) == 0
