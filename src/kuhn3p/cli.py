@@ -17,6 +17,7 @@ deterministic given its flags; nothing reads the clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,15 +62,22 @@ def _write_text(path: str, text: str) -> None:
 def _check_out(path: str, directory: bool) -> None:
     """Before a command runs, a ConfigError for an --out path that its
     writes would fail on: one holding a NUL or a lone surrogate, a directory
-    naming an existing non-directory, or a file in a missing directory."""
+    whose nearest existing ancestor (or itself) is not a directory, or a
+    file naming an existing directory or in a missing directory."""
     try:
         if b"\0" in os.fsencode(path):  # fsencode raises for a lone surrogate
             raise ValueError("embedded null byte")
     except ValueError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
-    where = path if directory else os.path.dirname(path) or "."
-    _require(os.path.isdir(where) or directory and not os.path.lexists(where),
-             f"cannot write {path!r}: {where!r} is not a directory")
+    if directory:  # os.makedirs creates the missing part
+        where = path
+        while where and not os.path.lexists(where):
+            where = os.path.dirname(where)
+    else:
+        _require(not os.path.isdir(path), f"cannot write {path!r}: {path!r} is a directory")
+        where = os.path.dirname(path)
+    where = where or "."
+    _require(os.path.isdir(where), f"cannot write {path!r}: {where!r} is not a directory")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -239,7 +247,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Each handler is looked up on
+    the module when it runs, so a replaced cmd_* function takes effect."""
     parser = argparse.ArgumentParser(
         prog="kuhn3p",
         description="Three-player Kuhn poker: exact solving, verification, "
@@ -249,33 +260,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="write a completed LB or UB profile")
     p.add_argument("--variant", required=True, choices=("LB", "UB"))
     p.add_argument("--out", required=True, help="output profile path")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=lambda args: cmd_solve(args))
 
     p = sub.add_parser("verify", help="exact best-response verification of a profile")
     p.add_argument("--profile", required=True, help="profile file to verify")
     p.add_argument("--threshold", type=float, default=1e-9,
                    help="accept epsilon at or below this value (default 1e-9)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: cmd_verify(args))
 
     p = sub.add_parser("train-cfr", help="train vanilla CFR and write the average profile")
     p.add_argument("--iters", type=int, required=True, help="number of iterations")
     p.add_argument("--out", required=True, help="output profile path; trace goes to <out>.trace.csv")
-    p.set_defaults(func=cmd_train_cfr)
+    p.set_defaults(func=lambda args: cmd_train_cfr(args))
 
     p = sub.add_parser("tournament", help="run the duplicate-match tournament protocol")
     p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--out", required=True, help="output directory for logs and reports")
-    p.set_defaults(func=cmd_tournament)
+    p.set_defaults(func=lambda args: cmd_tournament(args))
 
     p = sub.add_parser("variance-study", help="duplicate vs independent-card variance comparison")
     p.add_argument("--config", required=True, help="JSON configuration file (exactly 3 agents)")
     p.add_argument("--replications", type=int, default=100, help="replications per arm (>= 30)")
     p.add_argument("--out", default=None, help="optional JSON output path")
-    p.set_defaults(func=cmd_variance_study)
+    p.set_defaults(func=lambda args: cmd_variance_study(args))
 
     p = sub.add_parser("replay", help="re-derive chips from a match log and check agreement")
     p.add_argument("--log", required=True, help="match log file")
-    p.set_defaults(func=cmd_replay)
+    p.set_defaults(func=lambda args: cmd_replay(args))
 
     return parser
 

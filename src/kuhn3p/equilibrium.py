@@ -28,8 +28,12 @@ every iteration enumerates all 24 deals, updates all three seats'
 regrets simultaneously under the regret-matching policy, and accumulates
 the reach-weighted average strategy. Each sweep reads every decision
 node's reaches off its root path in one numpy gather, then backs values
-up the tree in one bottom-up pass, both vectorized across deals.
-Training is fully deterministic (there is no sampling).
+up the tree in one bottom-up pass, both vectorized across deals: each
+node is one multiply and one add into its slot of a child-pair array,
+where a decision node's two children sit side by side. The updates are
+gathered per infoset in deal order and applied as six in-place adds, so
+every float is that of a deal-by-deal accumulation. Training is fully
+deterministic (there is no sampling).
 """
 
 from __future__ import annotations
@@ -266,23 +270,35 @@ def epsilon(profile: StrategyProfile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _N_KEYS = len(game.all_infoset_keys())
-_PASSIVE, _AGGRESSIVE = 0, 1  # action columns of the CFR arrays
+_AGGRESSIVE = 1  # the action column of the (48, 2) CFR arrays
 _N_DEALS = len(DEALS)
 _CHANCE_F = 1.0 / _N_DEALS
-_DECISIONS = np.arange(N_DECISIONS)
-_ACTOR = np.array(DECISION_SEAT) - 1
-_CHILD_NODES = np.array([PASSIVE_CHILD, AGGRESSIVE_CHILD])  # (action, decision node)
-_ONE_ROW = np.ones((1, _N_DEALS))
-#: (decision node, seat - 1, slot) -> row, in _ONE_ROW stacked on the
-#: flattened probability[action, decision node], of the seat's slot-th
-#: action on the node's root path: 1 + action * 12 + m for an action at
-#: node m, or row 0 (the ones) where the seat has no such action.
-_OWN_ACTIONS = np.array([
-    [([1 + a * N_DECISIONS + m for m, a in path if DECISION_SEAT[m] == seat] + [0, 0])[:2]
-     for seat in SEATS]
-    for path in game.PATHS[:N_DECISIONS]])
 #: (decision node, deal) -> infoset index.
 _NODE_INFOSETS = game.INFOSET_INDEX.T
+#: (action, decision node, deal) -> index of the infoset's action in the
+#: flattened (action, infoset) policy.
+_POLICY_INDEX = np.array([_NODE_INFOSETS + action * _N_KEYS for action in (0, 1)])
+#: Per node: its slot in the trainer's child-pair array, 2 * parent +
+#: action, so decision node n's children sit in slots 2n and 2n + 1; the
+#: root takes the last slot.
+_SLOT = [2 * N_DECISIONS] + [2 * m + action for m, action in (path[-1] for path in game.PATHS[1:])]
+#: (node, passive child, aggressive child) -> slot, per decision node.
+_VALUE_SLOTS = np.array([[_SLOT[n] for n in nodes]
+                         for nodes in (range(N_DECISIONS), PASSIVE_CHILD, AGGRESSIVE_CHILD)])
+_ACTOR = np.array(DECISION_SEAT) - 1
+#: (decision node, role, slot) -> row, in the trainer's probability buffer
+#: (row 0 ones, then probability[action, decision node]), of the slot-th
+#: action on the node's root path by the acting seat (role 0), the seat
+#: before it (role 1) and the seat before that (role 2): 1 + action * 12 +
+#: m for an action at node m, or row 0 where the seat has no such action.
+_OWN_ACTIONS = np.array([
+    [([1 + a * N_DECISIONS + m for m, a in path if DECISION_SEAT[m] == seat] + [0, 0])[:2]
+     for seat in ((DECISION_SEAT[n] - 1 - role) % 3 + 1 for role in range(3))]
+    for n, path in enumerate(game.PATHS[:N_DECISIONS])])
+#: (k, infoset) -> the infoset's k-th position in the flattened (decision
+#: node, deal) arrays. An infoset's six positions lie on one decision node,
+#: so a stable sort puts them in deal order.
+_INFOSET_ORDER = np.argsort(_NODE_INFOSETS.ravel(), kind="stable").reshape(_N_KEYS, -1).T
 #: (terminal, deal, seat - 1) -> net chips.
 _TERMINAL_PAYOFFS = game.PAYOFFS[:, N_DECISIONS:].transpose(1, 0, 2).astype(np.float64)
 
@@ -291,25 +307,51 @@ class CfrTrainer:
     """Vanilla CFR over the full game, one exhaustive sweep per iteration.
 
     State is the classic regret/average-strategy pair per infoset and
-    action. The current policy is regret matching on the positive part of
-    the cumulative regrets, uniform where none are positive, and reaches
-    come from root paths. Full deal enumeration leaves nothing to sample,
-    so training is deterministic.
+    action: `cumulative_regret` and `cumulative_strategy` are (48, 2) views
+    of one (4, 48) array of sums. The current policy is regret matching on
+    the positive part of the cumulative regrets, uniform where none are
+    positive, and reaches come from root paths. Full deal enumeration
+    leaves nothing to sample, so training is deterministic.
+
+    A sweep backs each node up with one multiply and one add into its
+    `_SLOT` of a child-pair array, then applies each infoset's six
+    updates in deal order (`_INFOSET_ORDER`) as in-place adds.
     """
 
     def __init__(self) -> None:
         self.iteration_count = 0
-        self.cumulative_regret = np.zeros((_N_KEYS, 2), dtype=np.float64)
-        self.cumulative_strategy = np.zeros((_N_KEYS, 2), dtype=np.float64)
+        # Rows: regret passive, regret aggressive, strategy passive,
+        # strategy aggressive.
+        self._sums = np.zeros((4, _N_KEYS))
+        self.cumulative_regret = self._sums[:2].T
+        self.cumulative_strategy = self._sums[2:].T
+        # Row 0 ones, then probability[action, decision node, deal].
+        self._rows = np.ones((1 + 2 * N_DECISIONS, _N_DEALS))
+        self._probability = self._rows[1:].reshape(2, N_DECISIONS, _N_DEALS)
+        # slots[decision node, role, slot, deal]: _OWN_ACTIONS' probabilities.
+        self._slots = np.empty(_OWN_ACTIONS.shape + (_N_DEALS,))
+        # kids[slot, deal, seat - 1]: the expected chips of the node in
+        # each slot; the terminals' are fixed.
+        self._kids = np.empty((2 * N_DECISIONS + 1, _N_DEALS, 3))
+        self._kids[_SLOT[N_DECISIONS:]] = _TERMINAL_PAYOFFS
+        self._product = np.empty((2, _N_DEALS, 3))
+        self._product_halves = tuple(self._product)
+        # Children first: the node's (passive, aggressive) probabilities,
+        # its children's values and its own slot.
+        self._backup = [(self._probability[:, n, :, None], self._kids[2 * n:2 * n + 2],
+                         self._kids[_SLOT[n]]) for n in reversed(range(N_DECISIONS))]
+        # updates[regret passive, regret aggressive, strategy passive,
+        # strategy aggressive][decision node, deal]
+        self._updates = np.empty((4, N_DECISIONS, _N_DEALS))
+        self._ordered = np.empty((4,) + _INFOSET_ORDER.shape)
 
     def current_policy(self) -> np.ndarray:
         """(48, 2) action distribution per infoset via regret matching."""
-        positive = np.maximum(self.cumulative_regret, 0.0)
-        norms = positive.sum(axis=1, keepdims=True)
-        uniform = np.full_like(positive, 0.5)
-        with np.errstate(invalid="ignore"):
-            matched = positive / norms
-        return np.where(norms > 0, matched, uniform)
+        positive = np.maximum(self._sums[:2], 0.0)
+        norms = positive[0] + positive[1]
+        policy = np.full_like(positive, 0.5)
+        np.divide(positive, norms, out=policy, where=norms > 0)
+        return policy.T
 
     def run(self, iterations: int) -> "CfrTrainer":
         if iterations < 0:
@@ -320,32 +362,31 @@ class CfrTrainer:
         return self
 
     def _sweep(self) -> None:
-        # probability[action, decision node, deal] under regret matching.
-        probability = self.current_policy().T[:, _NODE_INFOSETS]
-        # reach[decision node, seat - 1, deal]: the product of the seat's
-        # own (at most two) action probabilities on the node's root path.
+        probability = self._probability
+        np.take(self.current_policy().T, _POLICY_INDEX, out=probability)
+        # reach[decision node, role, deal]: the product of the seat's own
+        # (at most two) action probabilities on the node's root path.
         # 1.0 * p1 * p2 == p1 * p2, so a parents-first walk gives the same.
-        slots = np.concatenate((_ONE_ROW, probability.reshape(-1, _N_DEALS)))[_OWN_ACTIONS]
+        slots = np.take(self._rows, _OWN_ACTIONS, axis=0, out=self._slots)
         reach = slots[:, :, 0] * slots[:, :, 1]
-        # value[node, deal, seat - 1]: expected chips, children first.
-        value = np.empty((_N_NODES, _N_DEALS, 3))
-        value[N_DECISIONS:] = _TERMINAL_PAYOFFS
-        for n in reversed(range(N_DECISIONS)):
-            value[n] = (probability[_PASSIVE, n, :, None] * value[PASSIVE_CHILD[n]]
-                        + probability[_AGGRESSIVE, n, :, None] * value[AGGRESSIVE_CHILD[n]])
+        weighted = _CHANCE_F * reach
+        own = weighted[:, 0]
+        counterfactual = weighted[:, 1] * reach[:, 2]
 
-        # Every infoset belongs to one decision node, so each one takes its
-        # six updates in deal order, whatever the order of the nodes.
-        # _ACTOR - 1 and _ACTOR - 2 are the other two seats (indices wrap).
-        actor_value = value[_DECISIONS, :, _ACTOR]
-        counterfactual = (_CHANCE_F * reach[_DECISIONS, _ACTOR - 1]
-                          * reach[_DECISIONS, _ACTOR - 2])
-        own = _CHANCE_F * reach[_DECISIONS, _ACTOR]
-        for action, child in enumerate(_CHILD_NODES):
-            np.add.at(self.cumulative_regret[:, action], _NODE_INFOSETS,
-                      counterfactual * (value[child, :, _ACTOR] - actor_value))
-            np.add.at(self.cumulative_strategy[:, action], _NODE_INFOSETS,
-                      own * probability[action])
+        product, halves = self._product, self._product_halves
+        for node_probability, children, value in self._backup:
+            np.multiply(node_probability, children, out=product)
+            np.add(*halves, out=value)
+        # The acting seat's value at each node, then at its two children.
+        values = self._kids[_VALUE_SLOTS, :, _ACTOR]
+
+        updates = self._updates
+        np.subtract(values[1:], values[0], out=updates[:2])
+        np.multiply(updates[:2], counterfactual, out=updates[:2])
+        np.multiply(own, probability, out=updates[2:])
+        ordered = np.take(updates.reshape(4, -1), _INFOSET_ORDER, axis=1, out=self._ordered)
+        for terms in ordered.transpose(1, 0, 2):
+            self._sums += terms
 
     def average_profile(self) -> StrategyProfile:
         """Normalized average strategy; uniform at never-reached infosets

@@ -215,6 +215,8 @@ def parse_profile(text: str) -> StrategyProfile:
             raise ProfileFormatError(
                 lineno, f"expected 'seat card situation probability', got {raw!r}"
             )
+        if not all(part.isascii() for part in parts):  # int and float read any Unicode digit
+            raise ProfileFormatError(lineno, f"non-ASCII field in {raw!r}")
         seat_s, card, sit_s, prob_s = parts
         if card not in CARD_INDEX:
             raise ProfileFormatError(lineno, f"unknown card {card!r}")

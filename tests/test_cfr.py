@@ -2,19 +2,103 @@
 
 The trainer enumerates all 24 deals each iteration and updates all three
 seats simultaneously, so training is deterministic.  Each sweep gathers
-every decision node's reaches from its root path in `game.PATHS` and
-backs values up the compiled tree in one bottom-up pass; the digest test
-pins its float results bit for bit.  Convergence bounds below were frozen
-from measured runs with margin.
+every decision node's reaches from its root path in `game.PATHS`, backs
+values up the compiled tree into each node's slot of one child-pair
+array with one multiply and one add per node, and applies each infoset's
+six updates as ordered in-place adds.  The digest test pins its float
+results bit for bit; `reference_sweep`, the earlier `np.add.at` sweep,
+checks it from drawn states; and an exact `Fraction` backup checks the
+regret it adds.  Convergence bounds below were frozen from measured runs
+with margin.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction as F
 
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from kuhn3p import equilibrium as eq
-from kuhn3p import strategy
+from kuhn3p import game, strategy
+from kuhn3p.game import (AGGRESSIVE_CHILD, DECISION_SEAT, DEALS, N_DECISIONS, PASSIVE_CHILD,
+                         SEATS)
+
+# The sweep before the child-pair backup, kept as the reference: its
+# regret matching, its reach gather and its np.add.at updates.
+_N_DEALS = len(DEALS)
+_CHANCE_F = 1.0 / _N_DEALS
+_DECISIONS = np.arange(N_DECISIONS)
+_ACTOR = np.array(DECISION_SEAT) - 1
+_CHILD_NODES = np.array([PASSIVE_CHILD, AGGRESSIVE_CHILD])  # (action, decision node)
+_ONE_ROW = np.ones((1, _N_DEALS))
+_OWN_ACTIONS = np.array([
+    [([1 + a * N_DECISIONS + m for m, a in path if DECISION_SEAT[m] == seat] + [0, 0])[:2]
+     for seat in SEATS]
+    for path in game.PATHS[:N_DECISIONS]])
+_NODE_INFOSETS = game.INFOSET_INDEX.T
+_TERMINAL_PAYOFFS = game.PAYOFFS[:, N_DECISIONS:].transpose(1, 0, 2).astype(np.float64)
+_PASSIVE, _AGGRESSIVE = 0, 1
+
+
+def reference_sweep(regret, strategy_sums):
+    """One vanilla-CFR sweep on the (48, 2) regret and strategy sums, in place."""
+    positive = np.maximum(regret, 0.0)
+    norms = positive.sum(axis=1, keepdims=True)
+    uniform = np.full_like(positive, 0.5)
+    with np.errstate(invalid="ignore"):
+        matched = positive / norms
+    policy = np.where(norms > 0, matched, uniform)
+    # probability[action, decision node, deal] under regret matching.
+    probability = policy.T[:, _NODE_INFOSETS]
+    # reach[decision node, seat - 1, deal]: the product of the seat's
+    # own (at most two) action probabilities on the node's root path.
+    # 1.0 * p1 * p2 == p1 * p2, so a parents-first walk gives the same.
+    slots = np.concatenate((_ONE_ROW, probability.reshape(-1, _N_DEALS)))[_OWN_ACTIONS]
+    reach = slots[:, :, 0] * slots[:, :, 1]
+    # value[node, deal, seat - 1]: expected chips, children first.
+    value = np.empty((len(game.NODES), _N_DEALS, 3))
+    value[N_DECISIONS:] = _TERMINAL_PAYOFFS
+    for n in reversed(range(N_DECISIONS)):
+        value[n] = (probability[_PASSIVE, n, :, None] * value[PASSIVE_CHILD[n]]
+                    + probability[_AGGRESSIVE, n, :, None] * value[AGGRESSIVE_CHILD[n]])
+
+    # Every infoset belongs to one decision node, so each one takes its
+    # six updates in deal order, whatever the order of the nodes.
+    # _ACTOR - 1 and _ACTOR - 2 are the other two seats (indices wrap).
+    actor_value = value[_DECISIONS, :, _ACTOR]
+    counterfactual = (_CHANCE_F * reach[_DECISIONS, _ACTOR - 1]
+                      * reach[_DECISIONS, _ACTOR - 2])
+    own = _CHANCE_F * reach[_DECISIONS, _ACTOR]
+    for action, child in enumerate(_CHILD_NODES):
+        np.add.at(regret[:, action], _NODE_INFOSETS,
+                  counterfactual * (value[child, :, _ACTOR] - actor_value))
+        np.add.at(strategy_sums[:, action], _NODE_INFOSETS,
+                  own * probability[action])
+
+
+def exact_instant_regret(policy):
+    """{infoset index: [passive, aggressive]} exact instantaneous regrets of
+    `policy`, a (48, 2) float array: per seat and card, the seat's
+    `_card_tables` row backed up by mixing at its own nodes by the policy,
+    and at an own node n, mixed[child] - mixed[n] for each child."""
+    probabilities = [(F(p), F(q)) for p, q in policy.tolist()]
+    regret = {}
+    for seat in SEATS:
+        for card, mixed in zip(game.CARDS, eq._card_tables(probabilities, seat)):
+            for n in reversed(range(N_DECISIONS)):
+                children = PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n]
+                if DECISION_SEAT[n] != seat:
+                    mixed[n] = mixed[children[0]] + mixed[children[1]]
+                    continue
+                i = game.KEY_INDEX[game.InfoSetKey(seat, card, game.DECISION_SITUATION[n])]
+                mixed[n] = sum(p * mixed[c] for p, c in zip(probabilities[i], children))
+                regret[i] = [mixed[c] - mixed[n] for c in children]
+    return regret
 
 
 def test_zero_iterations_gives_uniform_average():
@@ -81,3 +165,41 @@ def test_epsilon_shrinks_with_training():
 
 def test_trained_profile_beats_uniform_start():
     assert eq.epsilon(eq.cfr_train(2000)) < eq.epsilon(strategy.constant_profile(F(1, 2)))
+
+
+# Mixed signs, zeros (signed too) and magnitudes up to 1e6; a row with no
+# positive regret falls back to uniform.
+_SUMS = arrays(np.float64, (48, 2), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 1e6, -1e6]), st.floats(-1e6, 1e6)))
+_EDGES = np.resize([[0.0, 0.0], [-1e6, -2.5], [1e6, -0.0], [0.25, 3.0], [-0.0, 7e-9]], (48, 2))
+
+
+@given(_SUMS, _SUMS)
+@example(_EDGES, np.abs(_EDGES))
+def test_sweep_matches_reference_sweep(regret, strategy_sums):
+    trainer = eq.CfrTrainer()
+    trainer.cumulative_regret[...] = regret  # through the (48, 2) views
+    trainer.cumulative_strategy[...] = strategy_sums
+    trainer._sweep()
+    reference_regret, reference_strategy = regret.copy(), strategy_sums.copy()
+    reference_sweep(reference_regret, reference_strategy)
+    assert (trainer.cumulative_regret.tobytes() + trainer.cumulative_strategy.tobytes()
+            == reference_regret.tobytes() + reference_strategy.tobytes())
+
+
+def test_sweep_adds_the_exact_instantaneous_regret():
+    # Regrets of order one keep the float difference after - before within
+    # rounding of the increment itself.
+    rel_tol = 1e-9
+    for seed in range(3):
+        trainer = eq.CfrTrainer()
+        trainer.cumulative_regret[...] = np.random.default_rng(seed).uniform(-1, 1, (48, 2))
+        trainer.cumulative_regret[seed::7] = -0.5  # no positive regret: uniform
+        before = trainer.cumulative_regret.copy()
+        exact = exact_instant_regret(trainer.current_policy())
+        trainer._sweep()
+        delta = trainer.cumulative_regret - before
+        assert sorted(exact) == list(range(48))
+        for i, increments in exact.items():
+            for a, increment in enumerate(increments):
+                assert math.isclose(delta[i, a], increment, rel_tol=rel_tol), (seed, i, a)

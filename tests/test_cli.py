@@ -215,6 +215,24 @@ def test_replay_round_trip(tmp_path, capsys):
     assert "replayed 30 hands" in stdout
 
 
+def test_parser_is_built_once(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    profile = tmp_path / "lb.profile"
+    assert run(capsys, ["solve", "--variant", "LB", "--out", str(profile)])[0] == 0
+    assert run(capsys, ["verify", "--profile", str(profile)])[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_handler_is_looked_up_when_it_runs(tmp_path, capsys, monkeypatch):
+    # The parser outlives a replaced handler, as in the benchmark's tracer.
+    profile = tmp_path / "lb.profile"
+    assert run(capsys, ["solve", "--variant", "LB", "--out", str(profile)])[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_replay", lambda args: seen.append(args.log) or 7)
+    assert run(capsys, ["replay", "--log", "some.log"]) == (7, "", "")
+    assert seen == ["some.log"]
+
+
 def test_replay_rejects_tampered_log(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "tourn"
@@ -458,10 +476,13 @@ def test_out_path_with_nul_is_a_config_error(tmp_path, capsys, command):
     ("variance-study", "\ud800", "'utf-8' codec can't encode character '\\ud800' in position 0: "
                                  "surrogates not allowed"),
     ("tournament", "afile", "'afile' is not a directory"),
+    ("tournament", "afile/sub", "'afile' is not a directory"),
     ("variance-study", "new/out", "'new' is not a directory"),
+    ("variance-study", "adir", "'adir' is a directory"),
     ("train-cfr", "new/out", "'new' is not a directory"),
 ], ids=["tournament-nul", "variance-study-nul", "tournament-surrogate",
-        "variance-study-surrogate", "tournament-existing-file", "variance-study-missing-parent",
+        "variance-study-surrogate", "tournament-existing-file", "tournament-below-a-file",
+        "variance-study-missing-parent", "variance-study-existing-directory",
         "train-cfr-missing-parent"])
 def test_unwritable_out_is_rejected_before_the_run(tmp_path, capsys, monkeypatch, command, out,
                                                    reason):
@@ -474,12 +495,14 @@ def test_unwritable_out_is_rejected_before_the_run(tmp_path, capsys, monkeypatch
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, hands_per_match=3)
     Path("afile").write_text("kept\n", encoding="utf-8")
+    Path("adir").mkdir()
     flags = {"tournament": ["--config", config], "train-cfr": ["--iters", "3"],
              "variance-study": ["--config", config, "--replications", "30"]}[command]
     code, stdout, stderr = run(capsys, [command, *flags, "--out", out])
     assert (code, stdout) == (2, "")
     assert stderr == f"configuration error: cannot write {out!r}: {reason}\n"
-    assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
+    assert sorted(os.listdir(tmp_path)) == ["adir", "afile", "config.json"]
+    assert os.listdir("adir") == []
     assert Path("afile").read_text(encoding="utf-8") == "kept\n"
 
 
@@ -734,6 +757,7 @@ def _mutated(draw, texts, separator, fields):
                  st.tuples(st.just("replay"), _mutated([_LOGGED], ",", _LOG_FIELDS))))
 @example(("verify", _SOLVED[0].replace("1 K 3 1/2", "1 K 3 1/0").encode("utf-8")))
 @example(("verify", _SOLVED[1].encode("utf-8")))
+@example(("verify", _SOLVED[0].replace("1 J 1 0", "\u0661 J \u0661 \u0660").encode("utf-8")))
 @example(("replay", _LOGGED.replace("# seats: ", "# seats:\u2028").encode("utf-8")))
 @example(("replay", _LOGGED.replace(",KKK,", ", KKK,").encode("utf-8")))
 def test_cli_read_contract(command_data):

@@ -193,6 +193,18 @@ def test_parse_profile_errors_carry_line_numbers():
     assert "missing" in str(err.value)
 
 
+def test_parse_profile_rejects_non_ascii_fields():
+    # int and float read any Unicode decimal; serialize_profile writes ASCII.
+    lb = strategy.serialize_profile(strategy.nash_profile("LB")).splitlines()
+    at = lb.index("1 J 1 0")
+    for line in ("\u0661 J \u0661 \u0660", "1 J 1 \u0660", "1 J \u0661 0", "1 J 1 \uff10"):
+        lines = lb[:at] + [line] + lb[at + 1:]
+        with pytest.raises(strategy.ProfileFormatError) as err:
+            strategy.parse_profile("\n".join(lines))
+        assert err.value.lineno == at + 1
+        assert "non-ASCII" in str(err.value)
+
+
 def test_nash_profile_equals_completed_table():
     for variant in ("LB", "UB"):
         direct = strategy.nash_profile(variant)
