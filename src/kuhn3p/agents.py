@@ -75,19 +75,10 @@ class ProfileAgent(Agent):
 def build_honest_profile(king_bet: Fraction | float = Fraction(1, 2)) -> StrategyProfile:
     """Honest no-bluff play: bet A always and K with probability king_bet at
     the first opportunity, never bet J or Q, and call only with A."""
-    aggressive = {}
-    for key in game.all_infoset_keys():
-        if key.situation == 1:
-            if key.card == "A":
-                aggressive[key] = Fraction(1)
-            elif key.card == "K":
-                aggressive[key] = Fraction(king_bet)
-            else:
-                aggressive[key] = Fraction(0)
-        else:
-            # Situations 2-4 all face an outstanding bet.
-            aggressive[key] = Fraction(1) if key.card == "A" else Fraction(0)
-    return StrategyProfile(aggressive)
+    # Situations 2-4 all face an outstanding bet.
+    return StrategyProfile({key: Fraction(1) if key.card == "A"
+                            else Fraction(king_bet) if key.card == "K" and key.situation == 1
+                            else Fraction(0) for key in game.all_infoset_keys()})
 
 
 def finite_positive(value: object, name: str) -> float:

@@ -4,7 +4,7 @@ Subcommands:
 
     solve           write a completed LB or UB profile to a file
     verify          exact-best-response check of a profile file
-    train-cfr       train vanilla CFR, write the average profile + eps trace
+    train-cfr       train vanilla CFR, write the average profile + gap trace
     tournament      run the duplicate-match protocol from a JSON config
     variance-study  duplicate vs independent-card variance comparison
     replay          re-derive chips from a match log and check agreement
@@ -116,24 +116,26 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
     if args.iters < 0:
         print(f"--iters must be >= 0, got {args.iters}", file=sys.stderr)
         return 2
+    trace_path = f"{args.out}.trace.csv"
     _check_out(args.out, directory=False)
+    _check_out(trace_path, directory=False)
     trainer = equilibrium.CfrTrainer()
-    rows = []
+    rows = []  # iteration, then epsilon and each seat's gap as floats
     done = 0
     for checkpoint in _checkpoints(args.iters):  # the last one is args.iters
         trainer.run(checkpoint - done)
         done = checkpoint
         profile = trainer.average_profile()
-        rows.append((checkpoint, float(equilibrium.epsilon(profile))))
+        report = equilibrium.epsilon_report(profile)
+        rows.append((checkpoint, *map(float, [report.epsilon, *(s.gap for s in report.seats)])))
     header = f"CFR average strategy, iterations={args.iters}"
     _write_text(args.out, strategy.serialize_profile(profile, header=header))
-    trace_path = f"{args.out}.trace.csv"
-    trace = "iteration,epsilon\n" + "".join(f"{i},{e!r}\n" for i, e in rows)
+    trace = "iteration,epsilon,gap1,gap2,gap3\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows)
     _write_text(trace_path, trace)
-    final_eps = rows[-1][1]
     print(f"wrote profile: {args.out}")
     print(f"wrote trace:   {trace_path}")
-    print(f"final epsilon: {final_eps!r} after {args.iters} iterations")
+    print(f"final epsilon: {rows[-1][1]!r} after {args.iters} iterations")
     return 0
 
 

@@ -4,13 +4,15 @@ Every routine here walks the compiled tree of `game`: node ids in
 parent-before-child order, the child tables and root paths, the per-deal
 infoset index and the payoff array. None of them touches a history string.
 
-Verification runs in exact rational arithmetic: profile probabilities are
-converted to `Fraction` (exact even for floats), expectations are taken
-over the 24 equiprobable deals, and a profile is an equilibrium iff its
-gap `epsilon` is exactly zero. A seat's payoff is linear in its own
-strategy; one pass over the deals (`_card_tables`) sums, per card the
-seat may hold, its opponent-weighted reach and terminal values, and every
-exact routine reads that table. Two independent routes maximize it:
+Verification is exact and runs on integers: a profile's probabilities
+become integer numerators over D, the lcm of their denominators (exact
+even for floats), and every value over the 24 equiprobable deals is an
+integer numerator over one common denominator. Only returned values are
+`Fraction`s, and a profile is an equilibrium iff its gap `epsilon` is
+exactly zero. A seat's payoff is linear in its own strategy; one pass
+over the deals (`_card_tables`) sums, per card the seat may hold, its
+opponent-weighted reach and terminal values, and every exact routine
+reads that table. Two independent routes maximize it:
 
   * `best_response` backs each card's row up in reverse node order,
     maximizing at the seat's own nodes (ties go to the passive action)
@@ -49,46 +51,53 @@ from .game import (AGGRESSIVE_CHILD, CARDS, CARD_INDEX, DEALS, DECISION_SEAT, DE
                    KEY_INDEX, N_DECISIONS, PASSIVE_CHILD, SEATS, InfoSetKey)
 from .strategy import StrategyProfile
 
-ValueVector = tuple[Fraction, Fraction, Fraction]
-
-_CHANCE = Fraction(1, len(DEALS))
-_ZERO = Fraction(0)
-
-_N_NODES = len(game.NODES)
-# Python ints: numpy integers do not combine exactly with Fraction.
-_INFOSET = game.INFOSET_INDEX.tolist()
+_N_DEALS = len(DEALS)
+_INFOSET = game.INFOSET_INDEX.tolist()  # Python ints: numpy integers would overflow
 _PAYOFFS = game.PAYOFFS.tolist()
+#: (seat - 1, node) -> the seat's own decisions (at most two) on the node's root path.
+_OWN = [[sum(DECISION_SEAT[m] == seat for m, _ in path) for path in game.PATHS] for seat in SEATS]
+#: The most opponent decisions on any root path (4).
+_L = max(len(path) - own for row in _OWN for path, own in zip(game.PATHS, row))
+#: Per seat - 1: its 16 keys in all_infoset_keys() order. The key of the c-th
+#: card in situation sit is number 4 * c + sit - 1, its bit in a pure strategy.
+_OWN_KEYS = [game.all_infoset_keys()[16 * i:16 * i + 16] for i in range(len(SEATS))]
+_PURE = (Fraction(0), Fraction(1))
 
 
-def _action_probabilities(profile: StrategyProfile) -> list[tuple[Fraction, Fraction]]:
-    """(passive, aggressive) probabilities per infoset, in all_infoset_keys()
-    order. Fraction(float) is exact, so float-valued profiles verify
-    exactly too."""
+def _action_probabilities(profile: StrategyProfile) -> tuple[int, list[tuple[int, int]]]:
+    """D, the lcm of the profile's 48 denominators, and per infoset, in
+    all_infoset_keys() order, the integer (passive, aggressive) numerators
+    over D. Fraction(float) is exact, so floats verify exactly too."""
     aggressive = [Fraction(profile[key]) for key in game.all_infoset_keys()]
-    return [(1 - p, p) for p in aggressive]
+    d = math.lcm(*(p.denominator for p in aggressive))
+    return d, [(d - a, a) for a in (p.numerator * (d // p.denominator) for p in aggressive)]
 
 
-def _card_tables(probabilities: list[tuple[Fraction, Fraction]],
-                 seat: int) -> list[list[Fraction]]:
+def _card_tables(denominator: int, probabilities: list[tuple[int, int]],
+                 seat: int) -> list[list[int]]:
     """Per card index of `seat`, a row over the 25 nodes summed over the
     six deals in which the seat holds that card: at a decision node the
     chance- and opponent-weighted reach, at a terminal that reach times the
-    seat's payoff. The seat's own actions count as certain."""
-    tables = [[_ZERO] * _N_NODES for _ in CARDS]
+    seat's payoff. The seat's own actions count as certain. Entries are
+    integer numerators over 24 * D**L, L the most opponent decisions on a
+    root path: below j of them a reach is a product of j numerators over
+    24 * D**j, so a node's sum is scaled by D**(L - j)."""
+    tables = [[0] * len(game.NODES) for _ in CARDS]
     for deal, cards in enumerate(DEALS):
         infosets, payoffs = _INFOSET[deal], _PAYOFFS[deal]
         row = tables[CARD_INDEX[cards[seat - 1]] - 1]
-        row[0] += _CHANCE
-        reach = [_CHANCE]
+        row[0] += 1
+        reach = [1]
         for n, path in enumerate(game.PATHS[1:], start=1):
             m, action = path[-1]  # the parent, and the action taken there
             r = reach[m]
             if r and DECISION_SEAT[m] != seat:
-                r = r * probabilities[infosets[m]][action]
+                r *= probabilities[infosets[m]][action]
             reach.append(r)
             if r:
                 row[n] += r if n < N_DECISIONS else r * payoffs[n][seat - 1]
-    return tables
+    scale = [denominator ** (_L - len(path) + own) for path, own in zip(game.PATHS, _OWN[seat - 1])]
+    return [[v * s for v, s in zip(row, scale)] for row in tables]
 
 
 @dataclass
@@ -129,44 +138,56 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     table entry is nonzero (some deal reaches it with nonzero opponent
     weight) enters `infoset_values`, and `deviations` if its gain, the
     better child less the profile's mixture of the two, is positive.
+
+    Both are integer numerators: `value` over the tables' denominator, so
+    ties are integer ties; `mixed`, which gains a factor D at each own
+    node, over 24 * D**(L + 2 - o) below o own decisions.
     """
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
-    probabilities = _action_probabilities(profile)
+    denominator, probabilities = _action_probabilities(profile)
+    lift = [denominator ** (2 - own) for own in _OWN[seat - 1]]
+    value_denominator = _N_DEALS * denominator ** _L
     chosen: dict[InfoSetKey, Fraction] = {}
-    infoset_values: dict[InfoSetKey, tuple[Fraction, Fraction]] = {}
-    deviations: list[tuple[InfoSetKey, Fraction]] = []
-    total = ev = _ZERO
-    for card, row in zip(CARDS, _card_tables(probabilities, seat)):
-        value, mixed = row[:], row[:]  # the terminals hold their own values
+    action_values: dict[InfoSetKey, tuple[int, int]] = {}
+    gains: list[tuple[InfoSetKey, int]] = []
+    total = ev = 0
+    for c, row in enumerate(_card_tables(denominator, probabilities, seat)):
+        value = row[:]  # the terminals hold their own values
+        mixed = [v * lifted for v, lifted in zip(row, lift)]
         for n in reversed(range(N_DECISIONS)):
             passive, aggressive = PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n]
             if DECISION_SEAT[n] != seat:
                 value[n] = value[passive] + value[aggressive]
                 mixed[n] = mixed[passive] + mixed[aggressive]
                 continue
-            key = InfoSetKey(seat, card, DECISION_SITUATION[n])
+            key = _OWN_KEYS[seat - 1][4 * c + DECISION_SITUATION[n] - 1]
             v_passive, v_aggressive = value[passive], value[aggressive]
             take_aggressive = v_aggressive > v_passive
-            chosen[key] = Fraction(1) if take_aggressive else Fraction(0)
+            chosen[key] = _PURE[take_aggressive]
             value[n] = v_aggressive if take_aggressive else v_passive
             p_passive, p_aggressive = probabilities[KEY_INDEX[key]]
             mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
             if row[n]:
-                infoset_values[key] = (v_passive, v_aggressive)
-                # p_passive + p_aggressive == 1, so the mixture falls short of
+                action_values[key] = (v_passive, v_aggressive)
+                # p_passive + p_aggressive == D, so the mixture falls short of
                 # the better child by the worse action's share of the gap.
                 gain = (p_passive if take_aggressive else p_aggressive) * abs(v_aggressive - v_passive)
                 if gain > 0:
-                    deviations.append((key, gain))
+                    gains.append((key, gain))
         total += value[0]
         ev += mixed[0]
-    deviations.sort(key=lambda deviation: deviation[0].sort_index())
-    return BestResponseResult(seat, total, chosen, infoset_values, ev=ev, gap=total - ev,
+    infoset_values = {key: (Fraction(p, value_denominator), Fraction(a, value_denominator))
+                      for key, (p, a) in action_values.items()}
+    deviations = [(key, Fraction(gain, value_denominator * denominator))
+                  for key, gain in sorted(gains, key=lambda gain: gain[0].sort_index())]
+    br_value = Fraction(total, value_denominator)
+    ev = Fraction(ev, value_denominator * denominator ** 2)
+    return BestResponseResult(seat, br_value, chosen, infoset_values, ev=ev, gap=br_value - ev,
                               deviations=deviations)
 
 
-def expected_values(profile: StrategyProfile) -> ValueVector:
+def expected_values(profile: StrategyProfile) -> tuple[Fraction, Fraction, Fraction]:
     """Exact per-seat expected net chips per hand under `profile`,
     over all 24 equiprobable deals: each seat's best-response `ev`.
     Components sum to zero."""
@@ -186,38 +207,30 @@ def pure_strategy_oracle(profile: StrategyProfile, seat: int) -> BestResponseRes
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
 
-    # masks[t]: the 4-bit sub-strategies (bit sit - 1 set means aggressive
-    # in situation sit) that make the seat's own choices on the path to
-    # terminal t.
-    masks = [
-        [m for m in range(16)
-         if all(m >> (DECISION_SITUATION[n] - 1) & 1 == action
-                for n, action in path if DECISION_SEAT[n] == seat)]
-        for path in game.PATHS[N_DECISIONS:]
-    ]
-    # tables[c][m] = value of playing 4-bit sub-strategy m when holding
-    # card index c, summed over consistent terminals.
-    tables = []
-    for row in _card_tables(_action_probabilities(profile), seat):
-        table = [_ZERO] * 16
-        for weight, compatible in zip(row[N_DECISIONS:], masks):
-            if weight:
-                for m in compatible:
-                    table[m] += weight
-        tables.append(table)
+    # masks[t]: the 4-bit sub-strategies (bit sit - 1 set means aggressive in
+    # situation sit) that make the seat's own choices on the path to terminal t.
+    masks = [{m for m in range(16)
+              if all(m >> (DECISION_SITUATION[n] - 1) & 1 == action
+                     for n, action in path if DECISION_SEAT[n] == seat)}
+             for path in game.PATHS[N_DECISIONS:]]
+    # t_c[m]: sub-strategy m's value with card c, summed over consistent terminals.
+    denominator, probabilities = _action_probabilities(profile)
+    t_j, t_q, t_k, t_a = [[sum(w for w, fits in zip(row[N_DECISIONS:], masks) if m in fits)
+                           for m in range(16)]
+                          for row in _card_tables(denominator, probabilities, seat)]
 
-    denom = math.lcm(*(v.denominator for row in tables for v in row))
-    t_j, t_q, t_k, t_a = [[int(v * denom) for v in row] for row in tables]
-    values = [t_j[m & 15] + t_q[m >> 4 & 15] + t_k[m >> 8 & 15] + t_a[m >> 12]
-              for m in range(1 << 16)]
-    # max() keeps the first maximizer; ascending masks make that the
+    # values[m] for every mask m = a << 12 | k << 8 | q << 4 | j, as two
+    # outer sums: the jack's and queen's bits, then the king's and ace's.
+    low = [j + q for q in t_q for j in t_j]
+    high = [k + a for a in t_a for k in t_k]
+    values = [lo + hi for hi in high for lo in low]
+    # index() finds the first maximizer; ascending masks make that the
     # candidate with aggressive bits only where they are forced.
-    best_mask = max(range(1 << 16), key=values.__getitem__)
+    best_mask = values.index(max(values))
 
-    br_strategy = {InfoSetKey(seat, card, sit): Fraction(best_mask >> (4 * c + sit - 1) & 1)
-                   for c, card in enumerate(CARDS) for sit in (1, 2, 3, 4)}
-    return BestResponseResult(seat, Fraction(values[best_mask], denom), br_strategy,
-                              evaluations=1 << 16)
+    br_strategy = {key: _PURE[best_mask >> bit & 1] for bit, key in enumerate(_OWN_KEYS[seat - 1])}
+    return BestResponseResult(seat, Fraction(values[best_mask], _N_DEALS * denominator ** _L),
+                              br_strategy, evaluations=len(values))
 
 
 @dataclass
@@ -270,8 +283,6 @@ def epsilon(profile: StrategyProfile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _N_KEYS = len(game.all_infoset_keys())
-_AGGRESSIVE = 1  # the action column of the (48, 2) CFR arrays
-_N_DEALS = len(DEALS)
 _CHANCE_F = 1.0 / _N_DEALS
 #: (decision node, deal) -> infoset index.
 _NODE_INFOSETS = game.INFOSET_INDEX.T
@@ -391,14 +402,10 @@ class CfrTrainer:
     def average_profile(self) -> StrategyProfile:
         """Normalized average strategy; uniform at never-reached infosets
         (and everywhere after zero iterations)."""
-        sums = self.cumulative_strategy
-        norms = sums.sum(axis=1)
-        aggressive = np.where(
-            norms > 0, sums[:, _AGGRESSIVE] / np.where(norms > 0, norms, 1.0), 0.5
-        )
-        return StrategyProfile(
-            {key: float(aggressive[i]) for i, key in enumerate(game.all_infoset_keys())}
-        )
+        passive, aggressive = self._sums[2:]
+        norms = passive + aggressive
+        average = np.divide(aggressive, norms, out=np.full_like(norms, 0.5), where=norms > 0)
+        return StrategyProfile(dict(zip(game.all_infoset_keys(), average.tolist())))
 
 
 def cfr_train(iterations: int) -> StrategyProfile:

@@ -7,9 +7,9 @@ values up the compiled tree into each node's slot of one child-pair
 array with one multiply and one add per node, and applies each infoset's
 six updates as ordered in-place adds.  The digest test pins its float
 results bit for bit; `reference_sweep`, the earlier `np.add.at` sweep,
-checks it from drawn states; and an exact `Fraction` backup checks the
-regret it adds.  Convergence bounds below were frozen from measured runs
-with margin.
+checks it from drawn states; and an exact `Fraction` backup of
+`exact_reference.card_tables` checks the regret it adds.  Convergence
+bounds below were frozen from measured runs with margin.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import exact_reference
 from kuhn3p import equilibrium as eq
 from kuhn3p import game, strategy
 from kuhn3p.game import (AGGRESSIVE_CHILD, DECISION_SEAT, DEALS, N_DECISIONS, PASSIVE_CHILD,
@@ -84,12 +85,13 @@ def reference_sweep(regret, strategy_sums):
 def exact_instant_regret(policy):
     """{infoset index: [passive, aggressive]} exact instantaneous regrets of
     `policy`, a (48, 2) float array: per seat and card, the seat's
-    `_card_tables` row backed up by mixing at its own nodes by the policy,
-    and at an own node n, mixed[child] - mixed[n] for each child."""
+    `exact_reference.card_tables` row backed up by mixing at its own nodes
+    by the policy, and at an own node n, mixed[child] - mixed[n] for each
+    child."""
     probabilities = [(F(p), F(q)) for p, q in policy.tolist()]
     regret = {}
     for seat in SEATS:
-        for card, mixed in zip(game.CARDS, eq._card_tables(probabilities, seat)):
+        for card, mixed in zip(game.CARDS, exact_reference.card_tables(probabilities, seat)):
             for n in reversed(range(N_DECISIONS)):
                 children = PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n]
                 if DECISION_SEAT[n] != seat:

@@ -140,8 +140,25 @@ def test_train_cfr_zero_iterations_is_uniform(tmp_path, capsys):
     assert code == 0
     profile = strategy.parse_profile(out.read_text(encoding="utf-8"))
     assert profile == strategy.constant_profile(F(1, 2))
+    # The uniform profile's gaps: 35/64, 133/192 and 79/96, the largest.
     trace = (tmp_path / "cfr.txt.trace.csv").read_text(encoding="utf-8")
-    assert trace.splitlines()[0] == "iteration,epsilon"
+    assert trace == ("iteration,epsilon,gap1,gap2,gap3\n"
+                     f"0,{79 / 96!r},{35 / 64!r},{133 / 192!r},{79 / 96!r}\n")
+
+
+def test_train_cfr_rejects_a_directory_at_the_trace_path(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.equilibrium, "CfrTrainer", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("p.trace.csv").mkdir()
+    code, stdout, stderr = run(capsys, ["train-cfr", "--iters", "3", "--out", "p"])
+    assert (code, stdout) == (2, "")
+    assert stderr == ("configuration error: cannot write 'p.trace.csv': "
+                      "'p.trace.csv' is a directory\n")
+    assert os.listdir(tmp_path) == ["p.trace.csv"]
+    assert os.listdir("p.trace.csv") == []
 
 
 def test_train_cfr_is_deterministic(tmp_path, capsys):

@@ -5,20 +5,24 @@ computations: the best-response backup, which also gives each seat's
 expected value, on one side, and the 65,536-pure-strategy enumeration
 oracle on the other.  A property test holds the tree walks against the
 oracle and against a plain enumeration of deals and terminal action
-strings through the string API of `game`.  Everything here is exact
-rational arithmetic.
+strings through the string API of `game`.  Another holds every result of
+`equilibrium`, which computes on integer numerators over one common
+denominator, equal to the earlier `Fraction` routines kept in
+`exact_reference`.  Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import exact_reference as reference
 from kuhn3p import equilibrium as eq
 from kuhn3p import game, harness, strategy
 from kuhn3p.agents import AgentSpec, make_agent
@@ -167,8 +171,13 @@ probabilities = st.one_of(
     st.fractions(min_value=0, max_value=1, max_denominator=12),
     st.floats(min_value=0.0, max_value=1.0),
 )
-profiles = st.lists(probabilities, min_size=48, max_size=48).map(
-    lambda ps: strategy.StrategyProfile(dict(zip(game.all_infoset_keys(), ps))))
+
+
+def profile_of(values):
+    return strategy.StrategyProfile(dict(zip(game.all_infoset_keys(), values)))
+
+
+profiles = st.lists(probabilities, min_size=48, max_size=48).map(profile_of)
 
 
 def enumerated_values(profile):
@@ -217,6 +226,51 @@ def test_tree_walks_match_oracle_and_enumeration(profile):
         assert br.deviations == reference_deviations(profile, br.infoset_values)
         gaps.append(br.gap)
     assert eq.epsilon(profile) == eq.epsilon_report(profile).epsilon == max(gaps)
+
+
+# Floats at the edges of exactness: the smallest subnormal, whose
+# denominator is 2**1074, the largest float below one, and pure 0/1 mixes.
+extreme_floats = st.sampled_from([0.0, 1.0, 5e-324, 1 - 2 ** -53, 2 ** -53])
+exact_profiles = st.one_of(
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), min_size=48, max_size=48),
+    st.lists(st.one_of(extreme_floats, st.floats(min_value=0.0, max_value=1.0)),
+             min_size=48, max_size=48),
+).map(profile_of) | st.sampled_from([0, 1, 10, 300, 3000]).map(functools.cache(eq.cfr_train))
+
+
+# Fewer examples than the suite's default: each one sums the 65,536 masks
+# of the reference oracle in Python.
+@settings(max_examples=30)
+@given(profile=exact_profiles, seat=st.sampled_from(game.SEATS))
+@example(profile=strategy.constant_profile(5e-324), seat=1)
+@example(profile=strategy.constant_profile(1 - 2 ** -53), seat=2)
+@example(profile=profile_of([0.0, 1.0, 5e-324, 1 - 2 ** -53] * 12), seat=3)
+@example(profile=strategy.nash_profile("UB"), seat=1)
+def test_integer_routines_equal_the_fraction_reference(profile, seat):
+    seats = [reference.best_response(profile, s) for s in game.SEATS]
+    assert [eq.best_response(profile, s) for s in game.SEATS] == seats
+    assert eq.epsilon_report(profile).render() == eq.EpsilonReport(seats).render()
+    assert eq.epsilon(profile) == max(s.gap for s in seats)
+    oracle = eq.pure_strategy_oracle(profile, seat)
+    want = reference.pure_strategy_oracle(profile, seat)
+    assert (oracle.br_value, oracle.br_strategy) == (want.br_value, want.br_strategy)
+    assert oracle.br_value == seats[seat - 1].br_value
+
+
+@pytest.mark.parametrize("profile", [strategy.nash_profile("LB"),
+                                     strategy.constant_profile(F(1, 2)),
+                                     strategy.constant_profile(F(0))],
+                         ids=["LB", "uniform", "all-passive"])
+def test_oracle_keeps_the_lowest_mask_maximizer(profile):
+    for seat in game.SEATS:
+        values, denominator = reference.mask_values(profile, seat)
+        top = max(values)
+        maximizers = [mask for mask, value in enumerate(values) if value == top]
+        assert len(maximizers) > 1  # a tie for the rule to break
+        oracle = eq.pure_strategy_oracle(profile, seat)
+        assert oracle.br_strategy == reference.pure_strategy(seat, maximizers[0])
+        assert oracle.br_value == F(values[maximizers[0]], denominator)
+        assert oracle.evaluations == 1 << 16
 
 
 def test_tree_walks_call_no_string_helpers(monkeypatch):
