@@ -163,20 +163,6 @@ class FrequencyModeler(Agent):
             self._counts[n][action] += 1
 
 
-# Every agent kind, with the parameters it accepts.
-_PARAMETERS = {
-    "NashLB": (),
-    "NashUB": (),
-    "CFRTrained": ("profile",),
-    "UniformRandom": (),
-    "AlwaysAggressive": (),
-    "AlwaysPassive": (),
-    "HonestNoBluff": ("king_bet",),
-    "FrequencyModeler": ("smoothing",),
-}
-AGENT_KINDS = tuple(_PARAMETERS)
-
-
 @dataclass(frozen=True)
 class AgentSpec:
     """Declarative agent description.  A tournament config names a
@@ -202,6 +188,30 @@ def _as_probability(value: object, name: str) -> Fraction | float:
     return value
 
 
+def _cfr_profile(parameters: Mapping[str, object]) -> StrategyProfile:
+    if "profile" not in parameters:
+        raise ValueError("CFRTrained requires parameter 'profile'")
+    if not isinstance(parameters["profile"], StrategyProfile):
+        raise ValueError("CFRTrained parameter 'profile' must be a StrategyProfile")
+    return parameters["profile"]
+
+
+# Every agent kind: the parameters it accepts, and the builder of the
+# profile it plays from its parameters (None: it plays no fixed profile).
+_KINDS = {
+    "NashLB": ((), lambda parameters: strategy.nash_profile("LB")),
+    "NashUB": ((), lambda parameters: strategy.nash_profile("UB")),
+    "CFRTrained": (("profile",), _cfr_profile),
+    "UniformRandom": ((), lambda parameters: strategy.constant_profile(Fraction(1, 2))),
+    "AlwaysAggressive": ((), lambda parameters: strategy.constant_profile(Fraction(1))),
+    "AlwaysPassive": ((), lambda parameters: strategy.constant_profile(Fraction(0))),
+    "HonestNoBluff": (("king_bet",), lambda parameters: build_honest_profile(
+        _as_probability(parameters.get("king_bet", 0.5), "king_bet"))),
+    "FrequencyModeler": (("smoothing",), None),
+}
+AGENT_KINDS = tuple(_KINDS)
+
+
 def make_agent(spec: AgentSpec) -> Agent:
     """Construct the agent an AgentSpec describes.  Raises ValueError naming
     the offending field for an unknown kind, a parameter the kind does not
@@ -209,27 +219,12 @@ def make_agent(spec: AgentSpec) -> Agent:
     [0, 1] or a smoothing that is not finite and > 0.  Pure: it reads no
     file, and equal specs give agents that play alike."""
     kind, parameters = spec.kind, spec.parameters
-    if kind not in AGENT_KINDS:
+    if kind not in AGENT_KINDS:  # a tuple: an unhashable kind is unknown, not a TypeError
         raise ValueError(f"unknown agent kind {kind!r}; valid kinds: {', '.join(AGENT_KINDS)}")
+    accepted, build_profile = _KINDS[kind]
     for key in parameters:
-        if key not in _PARAMETERS[kind]:
+        if key not in accepted:
             raise ValueError(f"{kind} does not accept parameter {key!r}")
-    if kind == "NashLB" or kind == "NashUB":
-        return ProfileAgent(strategy.nash_profile(kind[-2:]), kind)
-    if kind == "CFRTrained":
-        if "profile" not in parameters:
-            raise ValueError("CFRTrained requires parameter 'profile'")
-        if not isinstance(parameters["profile"], StrategyProfile):
-            raise ValueError("CFRTrained parameter 'profile' must be a StrategyProfile")
-        return ProfileAgent(parameters["profile"], kind)
-    if kind == "UniformRandom":
-        return ProfileAgent(strategy.constant_profile(Fraction(1, 2)), kind)
-    if kind == "AlwaysAggressive":
-        return ProfileAgent(strategy.constant_profile(Fraction(1)), kind)
-    if kind == "AlwaysPassive":
-        return ProfileAgent(strategy.constant_profile(Fraction(0)), kind)
-    if kind == "HonestNoBluff":
-        king_bet = _as_probability(parameters.get("king_bet", 0.5), "king_bet")
-        return ProfileAgent(build_honest_profile(king_bet), kind)
-    assert kind == "FrequencyModeler"
-    return FrequencyModeler(parameters.get("smoothing", 1.0))
+    if build_profile is None:
+        return FrequencyModeler(parameters.get("smoothing", 1.0))
+    return ProfileAgent(build_profile(parameters), kind)

@@ -146,7 +146,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
     _require(isinstance(entry, dict), f"{where}: expected an object")
-    unknown = set(entry) - {"kind", "name", "parameters"}
+    unknown = set(entry) - {f.name for f in fields(AgentSpec)}
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
     _require("kind" in entry, f"{where}: missing required key 'kind'")
     parameters = entry.get("parameters", {})
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="write a completed LB or UB profile")
-    p.add_argument("--variant", required=True, choices=("LB", "UB"))
+    p.add_argument("--variant", required=True, choices=strategy.VARIANTS)
     p.add_argument("--out", required=True, help="output profile path")
     p.set_defaults(func=lambda args: cmd_solve(args))
 

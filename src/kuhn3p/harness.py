@@ -89,8 +89,9 @@ class MatchRecord:
 
 @dataclass
 class DuplicateSet:
-    """Six matches, one per seating permutation, sharing one card sequence:
-    each match's deals are its hands' outcomes // 13."""
+    """Six matches, one per seating permutation in PERMUTATIONS order, and
+    their chips per triple slot.  Those of a duplicate set share one card
+    sequence: each match's deals are its hands' outcomes // 13."""
 
     matches: list[MatchRecord]
     slot_totals: tuple[int, int, int]  # aggregated per triple slot, not per seat
@@ -156,8 +157,7 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     if len(agents) != 3:
         raise ValueError(f"a match needs exactly 3 agents, got {len(agents)}")
     deals = _deal_indices(deals)
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    gen = np.random.Generator(np.random.Philox(seq))
+    gen = np.random.Generator(np.random.Philox(seed))
     # Seats 1 and 2 act at most twice per hand, seat 3 at most once.
     uniforms = gen.random((len(deals), 3, 2))
     fixed = []  # per decision node: its bit where a plain ProfileAgent acts, else 0
@@ -211,38 +211,31 @@ def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray,
     return np.array(terminals, dtype=np.intp)
 
 
-def _slot_totals(matches: Sequence[MatchRecord]) -> tuple[int, int, int]:
-    """Chips per triple slot of six matches played in PERMUTATIONS order."""
-    totals = [0, 0, 0]
-    for perm, record in zip(PERMUTATIONS, matches):
-        for s in range(3):
-            totals[perm[s]] += record.seat_totals[s]
-    return tuple(totals)
-
-
 def _play_seatings(agents: Sequence[Agent], master_seed: int, cards: Sequence[np.ndarray],
-                   decision_key: tuple[int, ...]) -> list[MatchRecord]:
+                   decision_key: tuple[int, ...]) -> DuplicateSet:
     """The six matches of a triple, permutation p playing cards[p] with
-    decisions keyed by decision_key + (p,).  agents holds one unplayed agent
-    per slot: a plain ProfileAgent is shared read-only, and any other agent
-    is seated as a deep copy, so that it starts every match afresh."""
-    matches = []
+    decisions keyed by decision_key + (p,), tallied per triple slot as they
+    are played.  agents holds one unplayed agent per slot: a plain
+    ProfileAgent is shared read-only, and any other agent is seated as a
+    deep copy, so that it starts every match afresh."""
+    matches, totals = [], [0, 0, 0]
     for p, perm in enumerate(PERMUTATIONS):
         seated = [agents[slot] if type(agents[slot]) is ProfileAgent else copy.deepcopy(agents[slot])
                   for slot in perm]
         seed = np.random.SeedSequence(master_seed, spawn_key=decision_key + (p,))
         matches.append(run_match(seated, cards[p], seed))
-    return matches
+        for slot, chips in zip(perm, matches[-1].seat_totals):
+            totals[slot] += chips
+    return DuplicateSet(matches, tuple(totals))
 
 
 def _duplicate_set(agents: Sequence[Agent], config: MatchConfig,
                    set_key: Sequence[int]) -> DuplicateSet:
     if len(agents) != 3:
-        raise ValueError(f"a duplicate set needs exactly 3 agents, got {len(agents)}")
+        raise ValueError(f"agents: a duplicate set needs exactly 3 agents, got {len(agents)}")
     key = tuple(int(k) for k in set_key)
     cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
-    matches = _play_seatings(agents, config.master_seed, [cards] * 6, (_DOMAIN_DECISIONS,) + key)
-    return DuplicateSet(matches, _slot_totals(matches))
+    return _play_seatings(agents, config.master_seed, [cards] * 6, (_DOMAIN_DECISIONS,) + key)
 
 
 def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
@@ -353,7 +346,7 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     agents and for what _pool_agents rejects.
     """
     if len(pool) < 3:
-        raise ValueError(f"a tournament needs a pool of >= 3 agents, got {len(pool)}")
+        raise ValueError(f"agents: a tournament needs a pool of >= 3 agents, got {len(pool)}")
     built = _pool_agents(pool)
     labels = [agent.name for agent in built]
 
@@ -558,9 +551,9 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
 
         cards = [deal_sequence(config.master_seed, (_DOMAIN_STUDY_INDEP_CARDS, r, p),
                                config.hands_per_match) for p in range(len(PERMUTATIONS))]
-        matches = _play_seatings(built, config.master_seed, cards,
-                                 (_DOMAIN_STUDY_INDEP_DECISIONS, r))
-        independent_samples.append(_slot_totals(matches)[0] / hands_per_rep)
+        independent = _play_seatings(built, config.master_seed, cards,
+                                     (_DOMAIN_STUDY_INDEP_DECISIONS, r))
+        independent_samples.append(independent.slot_totals[0] / hands_per_rep)
 
     var_dup = statistics.variance(duplicate_samples)
     var_ind = statistics.variance(independent_samples)

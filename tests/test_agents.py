@@ -4,7 +4,9 @@ spec validation."""
 from __future__ import annotations
 
 import copy
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,38 @@ def test_make_agent_validation():
         make_agent(AgentSpec("CFRTrained"))
     with pytest.raises(ValueError, match="StrategyProfile"):
         make_agent(AgentSpec("CFRTrained", {"profile": "/nonexistent/path.txt"}))
+
+
+def _readme_agent_rows():
+    """README's ## Agents table as (kinds, parameter or None) per row: the
+    backticked names of its first column and the first of its third."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## Agents\n", 1)[1].lstrip("\n").splitlines()
+    rows = []
+    for line in lines[2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        kinds, _, parameters = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        first = re.search(r"`([^`]+)`", parameters)
+        rows.append((re.findall(r"`([^`]+)`", kinds), first and first.group(1)))
+    return rows
+
+
+def test_readme_agent_table_is_the_table_of_kinds():
+    rows = _readme_agent_rows()
+    assert [kind for kinds, _ in rows for kind in kinds] == list(agents.AGENT_KINDS)
+    for kinds, parameter in rows:
+        for kind in kinds:
+            assert agents._KINDS[kind][0] == ((parameter,) if parameter else ()), kind
+
+
+def test_every_fixed_profile_kind_builds_a_plain_profile_agent():
+    # harness.run_match decides exactly the ProfileAgent type in one batch.
+    parameters = {"CFRTrained": {"profile": strategy.nash_profile("LB")}}
+    for kind in agents.AGENT_KINDS:
+        agent = make_agent(AgentSpec(kind, parameters.get(kind, {})))
+        assert type(agent) is (agents.FrequencyModeler if kind == "FrequencyModeler"
+                                else agents.ProfileAgent), kind
 
 
 def test_cfr_trained_agent_loads_profile():

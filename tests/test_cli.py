@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -297,7 +298,7 @@ def test_variance_study_requires_exactly_three_agents(tmp_path, capsys):
     code, _, stderr = run(capsys, ["variance-study", "--config", config,
                                    "--replications", "30", "--out", str(out)])
     assert code == 2
-    assert stderr == "configuration error: a duplicate set needs exactly 3 agents, got 4\n"
+    assert stderr == "configuration error: agents: a duplicate set needs exactly 3 agents, got 4\n"
     assert not out.exists()
 
 
@@ -619,7 +620,8 @@ def test_replay_requires_seats_header(tmp_path, capsys):
 # --- The CLI contract, as one property --------------------------------------
 # Whatever the config and the numeric flags, cli.main returns: 0, or 2 with
 # one stderr line, nothing on stdout and no --out path, or 1 from verify
-# (a profile that misses its threshold).  The caps keep every run small.
+# (a profile that misses its threshold).  A configuration error's line
+# names its subject first (_ERROR_SUBJECTS).  The caps keep every run small.
 
 def _main(argv):
     """cli.main(argv) and what it printed, for tests that cannot take capsys.
@@ -682,6 +684,10 @@ _NESTED = '{"agents": ' + "[" * 100_000 + "]" * 100_000 + ', "master_seed": 0}'
 _VALID = json.dumps({"agents": [{"kind": "FrequencyModeler"}, {"kind": "NashLB"},
                                 {"kind": "CFRTrained", "parameters": {"profile": "lb.profile"}}],
                      "hands_per_match": 12, "matches_per_permutation": 1, "master_seed": 0})
+#: What a 'configuration error: ' line may name first: the agents, a
+#: MatchConfig field, the replications, or a quoted path.
+_ERROR_SUBJECTS = ("agents", *(f.name for f in fields(harness.MatchConfig)), "replications",
+                   "cannot read '", "cannot write '", "'")
 
 
 @settings(max_examples=400)
@@ -695,6 +701,12 @@ _VALID = json.dumps({"agents": [{"kind": "FrequencyModeler"}, {"kind": "NashLB"}
          threshold=0.0, iters=0, replications=30, out="out")
 @example(command="tournament", config=_VALID, threshold=0.0, iters=0, replications=30,
          out="a\x00b")
+@example(command="variance-study", config=json.dumps({"agents": [{"kind": "NashLB"}] * 4,
+                                                      "hands_per_match": 1, "master_seed": 0}),
+         threshold=0.0, iters=0, replications=30, out="out")
+@example(command="tournament", config=json.dumps({"agents": [{"kind": "NashLB"}] * 2,
+                                                  "master_seed": 0}),
+         threshold=0.0, iters=0, replications=30, out="out")
 def test_cli_contract(command, config, threshold, iters, replications, out):
     with tempfile.TemporaryDirectory() as tmp:
         config_path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, out)
@@ -716,6 +728,8 @@ def test_cli_contract(command, config, threshold, iters, replications, out):
             assert stdout == ""
             assert len(stderr.splitlines()) == 1, stderr
             assert not os.path.lexists(out)
+            message = stderr.removeprefix("configuration error: ")
+            assert message == stderr or message.startswith(_ERROR_SUBJECTS), stderr
         else:
             assert stderr == ""
 

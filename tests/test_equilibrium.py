@@ -76,6 +76,25 @@ def test_ub_table_with_b32_reduced_is_exact():
         assert eq.epsilon(strategy.complete_profile(repaired)) == 0
 
 
+def test_ub_b32_repairs_exactly_on_half_to_fifteen_sixteenths():
+    # epsilon as a function of b32 alone is convex: seat 2's best response
+    # ignores its own entries and its value is linear in b32, so its gap is
+    # linear; seats 1 and 3 each have a gap that is a maximum of linear
+    # functions less a linear one.  Zero at both ends of [1/2, 15/16] is
+    # then zero on the whole interval.  Just outside an end a, epsilon at
+    # distance h is twice epsilon at h/2, so it is affine and positive
+    # there: the interval is exact.
+    table = strategy.load_table("UB")
+
+    def epsilon(b32):
+        return eq.epsilon(strategy.complete_profile({**table, (2, 3, 2): b32}))
+
+    h = F(1, 64)
+    assert epsilon(F(1, 2)) == epsilon(F(15, 16)) == 0
+    assert (epsilon(F(1, 2) - h), epsilon(F(1, 2) - h / 2)) == (F(1, 192), F(1, 384))
+    assert (epsilon(F(15, 16) + h), epsilon(F(15, 16) + h / 2)) == (F(1, 768), F(1, 1536))
+
+
 def test_uniform_profile_constants():
     profile = strategy.constant_profile(F(1, 2))
     assert eq.expected_values(profile) == (F(15, 64), F(-3, 64), F(-3, 16))

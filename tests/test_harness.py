@@ -106,6 +106,17 @@ def test_run_match_is_deterministic():
     assert a.hands == b.hands
 
 
+@pytest.mark.parametrize("specs", [TRIPLE, (AgentSpec("FrequencyModeler"), *TRIPLE[1:])],
+                         ids=["profiles", "modeler"])
+def test_run_match_reads_an_int_seed_as_its_seed_sequence(specs):
+    # run_match hands seed to np.random.Philox as given, which reads an int
+    # through np.random.SeedSequence itself.
+    cards = harness.deal_sequence(9, (0,), 100)
+    for seed in (0, 17, 2 ** 70):
+        assert harness.run_match(lineup(specs), cards, seed) \
+            == harness.run_match(lineup(specs), cards, np.random.SeedSequence(seed))
+
+
 class _IllegalAgent(Agent):
     name = "Illegal"
 
