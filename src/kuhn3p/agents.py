@@ -127,10 +127,10 @@ class FrequencyModeler(Agent):
         self._counts = [[0, 0] for _ in range(N_DECISIONS)]
 
     def estimate(self, n: int) -> float:
-        """Smoothed aggressive frequency at decision node n."""
+        """Smoothed aggressive frequency at node n, over a halved denominator that cannot overflow."""
         passive, aggressive = self._counts[n]
         s = self.smoothing
-        return (aggressive + s) / (passive + aggressive + 2 * s)
+        return 0.5 * ((aggressive + s) / ((passive + aggressive) * 0.5 + s))
 
     def act(self, obs: Observation, rng) -> Action:
         seat = obs.seat
@@ -176,7 +176,8 @@ class AgentSpec:
 
 
 def _as_probability(value: object, name: str) -> Fraction | float:
-    if isinstance(value, str):
+    # Fraction would read '_' between digits and any Unicode digit; such a string is no number.
+    if isinstance(value, str) and value.isascii() and "_" not in value:
         try:
             value = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import equilibrium, harness, strategy
 from .agents import AgentSpec
@@ -121,10 +121,8 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
     _check_out(trace_path, directory=False)
     trainer = equilibrium.CfrTrainer()
     rows = []  # iteration, then epsilon and each seat's gap as floats
-    done = 0
     for checkpoint in _checkpoints(args.iters):  # the last one is args.iters
-        trainer.run(checkpoint - done)
-        done = checkpoint
+        trainer.run(checkpoint - trainer.iteration_count)
         profile = trainer.average_profile()
         report = equilibrium.epsilon_report(profile)
         rows.append((checkpoint, *map(float, [report.epsilon, *(s.gap for s in report.seats)])))
@@ -249,11 +247,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers each subparser, whose usage error is one line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process. Each handler is looked up on
     the module when it runs, so a replaced cmd_* function takes effect."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kuhn3p",
         description="Three-player Kuhn poker: exact solving, verification, "
                     "CFR training, and duplicate-match tournaments.")

@@ -105,23 +105,17 @@ class BestResponseResult:
     """A seat's best payoff against the other two seats' fixed strategies.
 
     `br_strategy` maps the seat's 16 infosets to a pure (0 or 1)
-    aggressive probability. `infoset_values` holds the pair of
-    opponent-reach-weighted action values (passive, aggressive) seen at
-    each infoset during the expectimax. `ev` is the seat's own expected
-    value under the profile, from the same backup, and `gap` is
-    `br_value - ev`. `deviations` lists, in `sort_index()` order, the
-    infosets where the best response strictly beats the profile's own
-    mixture, with that local, opponent-reach-weighted gain. Only the
-    brute-force oracle sets `evaluations`; it leaves `ev` and `gap` None
-    and `infoset_values` and `deviations` empty.
+    aggressive probability. `ev` is the seat's own expected value under
+    the profile, from the same backup, and `gap` is `br_value - ev`.
+    `deviations` lists, in `sort_index()` order, the infosets where the
+    best response strictly beats the profile's own mixture, with that
+    local, opponent-reach-weighted gain. Only the brute-force oracle sets
+    `evaluations`; it leaves `ev` and `gap` None and `deviations` empty.
     """
 
     seat: int
     br_value: Fraction
     br_strategy: dict[InfoSetKey, Fraction]
-    infoset_values: dict[InfoSetKey, tuple[Fraction, Fraction]] = field(
-        default_factory=dict
-    )
     evaluations: int | None = None
     ev: Fraction | None = None
     gap: Fraction | None = None
@@ -134,10 +128,10 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     Each card's row of `_card_tables` is backed up in reverse node order,
     two values per node: opponent nodes add their children's values; own
     nodes take the better child (exact ties pick the passive action) and,
-    for `ev`, mix the children by the profile. Only an own infoset whose
-    table entry is nonzero (some deal reaches it with nonzero opponent
-    weight) enters `infoset_values`, and `deviations` if its gain, the
-    better child less the profile's mixture of the two, is positive.
+    for `ev`, mix the children by the profile. An own infoset whose table
+    entry is nonzero (some deal reaches it with nonzero opponent weight)
+    enters `deviations` if its gain, the better child less the profile's
+    mixture of the two, is positive.
 
     Both are integer numerators: `value` over the tables' denominator, so
     ties are integer ties; `mixed`, which gains a factor D at each own
@@ -149,7 +143,6 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     lift = [denominator ** (2 - own) for own in _OWN[seat - 1]]
     value_denominator = _N_DEALS * denominator ** _L
     chosen: dict[InfoSetKey, Fraction] = {}
-    action_values: dict[InfoSetKey, tuple[int, int]] = {}
     gains: list[tuple[InfoSetKey, int]] = []
     total = ev = 0
     for c, row in enumerate(_card_tables(denominator, probabilities, seat)):
@@ -169,7 +162,6 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
             p_passive, p_aggressive = probabilities[KEY_INDEX[key]]
             mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
             if row[n]:
-                action_values[key] = (v_passive, v_aggressive)
                 # p_passive + p_aggressive == D, so the mixture falls short of
                 # the better child by the worse action's share of the gap.
                 gain = (p_passive if take_aggressive else p_aggressive) * abs(v_aggressive - v_passive)
@@ -177,13 +169,11 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
                     gains.append((key, gain))
         total += value[0]
         ev += mixed[0]
-    infoset_values = {key: (Fraction(p, value_denominator), Fraction(a, value_denominator))
-                      for key, (p, a) in action_values.items()}
     deviations = [(key, Fraction(gain, value_denominator * denominator))
                   for key, gain in sorted(gains, key=lambda gain: gain[0].sort_index())]
     br_value = Fraction(total, value_denominator)
     ev = Fraction(ev, value_denominator * denominator ** 2)
-    return BestResponseResult(seat, br_value, chosen, infoset_values, ev=ev, gap=br_value - ev,
+    return BestResponseResult(seat, br_value, chosen, ev=ev, gap=br_value - ev,
                               deviations=deviations)
 
 

@@ -35,7 +35,6 @@ Card = str
 Seat = int
 Action = str
 ActionHistory = str
-Deal = str
 
 CARDS = ("J", "Q", "K", "A")
 
@@ -90,18 +89,8 @@ _TERMINALS = frozenset(TERMINAL_HISTORIES)
 
 DECISION_HISTORIES = tuple(sorted(_DECISION_POINTS, key=lambda h: (len(h), h)))
 
-ALL_HISTORIES = tuple(sorted(
-    DECISION_HISTORIES + TERMINAL_HISTORIES, key=lambda h: (len(h), h)
-))
-
-
-def enumerate_deals() -> tuple[str, ...]:
-    """All 24 ordered deals of three distinct cards, as 3-char strings
-    in seat order."""
-    return tuple("".join(p) for p in itertools.permutations(CARDS, 3))
-
-
-DEALS = enumerate_deals()
+#: All 24 ordered deals of three distinct cards, as 3-char strings in seat order.
+DEALS = tuple("".join(p) for p in itertools.permutations(CARDS, 3))
 
 
 def is_terminal(history: str) -> bool:

@@ -53,7 +53,7 @@ MAX_HANDS_PER_MATCH = 10 ** 6
 class MatchConfig:
     """Protocol parameters shared by every match of a tournament.  Raises
     ValueError naming the field for a seed or count that is not an int in
-    its bounds (a bool is no int) and for a divisor that
+    its bounds (a bool is no int) and for a divisor below 1 or that
     agents.finite_positive rejects.  normalization_divisor is stored as a float."""
 
     master_seed: int
@@ -71,8 +71,10 @@ class MatchConfig:
         if self.hands_per_match > MAX_HANDS_PER_MATCH:
             raise ValueError(f"hands_per_match must be <= {MAX_HANDS_PER_MATCH}, "
                              f"got {self.hands_per_match}")
-        object.__setattr__(self, "normalization_divisor",
-                           finite_positive(self.normalization_divisor, "normalization_divisor"))
+        divisor = finite_positive(self.normalization_divisor, "normalization_divisor")
+        if divisor < 1:  # it would inflate the totals it normalizes
+            raise ValueError(f"normalization_divisor must be >= 1, got {self.normalization_divisor!r}")
+        object.__setattr__(self, "normalization_divisor", divisor)
 
 
 @dataclass
@@ -279,15 +281,14 @@ class GroupingResult:
 
 @dataclass
 class TournamentReport:
-    """Full tournament outcome: the protocol configuration, the pool's
-    labels, one AgentResult per label and the per-grouping detail.
+    """Full tournament outcome: the protocol configuration, one
+    AgentResult per pool agent, in pool order, and the per-grouping detail.
 
     Deliberately carries no wall-clock metadata: identical inputs must
     serialize to byte-identical reports.
     """
 
     config: MatchConfig
-    labels: list[str]
     agents: list[AgentResult]
     groupings: list[GroupingResult]
 
@@ -375,7 +376,7 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
         total, hands = sum(chips), len(chips) * hands_per_set
         agents.append(AgentResult(label, len(chips) // config.matches_per_permutation, hands, total,
                                   total / hands, total / config.normalization_divisor, std_error))
-    return TournamentReport(config, labels, agents, grouping_results)
+    return TournamentReport(config, agents, grouping_results)
 
 
 REPORT_COLUMNS = ("agent", "groupings", "total_chips", "chips_per_hand",

@@ -10,8 +10,8 @@ verbatim, and it is not: its entry for seat 2 calling a lone bet with K is
 gain of 1/192 for betting A at the root (epsilon 1/192). Each table pins
 27 of the 48 probabilities; the other 21, seven per seat, are forced by
 strict dominance. `DOMINANCE` holds them, the one place this split is
-written: `TABLED_ENTRIES`, `dominance_filled_keys` and `complete_profile`
-read it. Situations 2-4 all face a bet, so the choice is call or fold:
+written: `TABLED_ENTRIES` and `complete_profile` read it. Situations 2-4
+all face a bet, so the choice is call or fold:
 
   * holding J facing a bet: fold (J never wins a showdown),
   * holding A facing a bet: call (A always wins a showdown),
@@ -21,7 +21,7 @@ read it. Situations 2-4 all face a bet, so the choice is call or fold:
 Values are exact `Fraction`s where the source is exact and may be floats
 for numerically trained profiles. The text format is line-oriented,
 "seat card situation probability", sorted by (seat, card, situation),
-with probabilities as decimals or "n/d" fractions.
+with probabilities as decimals or "n/d" fractions in ASCII, without '_'.
 """
 
 from __future__ import annotations
@@ -143,11 +143,6 @@ def complete_profile(table: Mapping[tuple[int, int, int], Fraction]) -> Strategy
     })
 
 
-def dominance_filled_keys() -> tuple[InfoSetKey, ...]:
-    """The 21 infosets whose probabilities come from DOMINANCE, not tables."""
-    return tuple(k for k in game.all_infoset_keys() if (k.card, k.situation) in DOMINANCE)
-
-
 @functools.cache
 def nash_profile(variant: str) -> StrategyProfile:
     """Completed profile for the LB or UB table, completed once per process:
@@ -217,6 +212,8 @@ def parse_profile(text: str) -> StrategyProfile:
             )
         if not all(part.isascii() for part in parts):  # int and float read any Unicode digit
             raise ProfileFormatError(lineno, f"non-ASCII field in {raw!r}")
+        if "_" in line:  # int, float and Fraction also read '_' between digits
+            raise ProfileFormatError(lineno, f"digit separator '_' in {raw!r}")
         seat_s, card, sit_s, prob_s = parts
         if card not in CARD_INDEX:
             raise ProfileFormatError(lineno, f"unknown card {card!r}")

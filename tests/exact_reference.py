@@ -6,7 +6,7 @@ card of chance- and opponent-weighted reaches and terminal values, the
 expectimax backup over it, and a plain per-mask loop over all 65,536
 pure strategies that keeps the lowest-mask maximizer. The backup and the
 loop return `BestResponseResult`s, whose fields the tests compare with
-`equilibrium`'s.
+`equilibrium`'s; `action_values` gives the values the backup compares.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ def card_tables(probabilities, seat):
     return tables
 
 
-def best_response(profile, seat):
-    """Expectimax best response, backed up in `Fraction`s."""
+def _backup(profile, seat):
+    """The expectimax backup in `Fraction`s: the best response, and the
+    (passive, aggressive) action values of each own infoset reached with
+    nonzero opponent weight."""
     probabilities = action_probabilities(profile)
-    chosen, infoset_values, deviations = {}, {}, []
+    chosen, values, deviations = {}, {}, []
     total = ev = Fraction(0)
     for card, row in zip(CARDS, card_tables(probabilities, seat)):
         value, mixed = row[:], row[:]
@@ -74,7 +76,7 @@ def best_response(profile, seat):
             p_passive, p_aggressive = probabilities[KEY_INDEX[key]]
             mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
             if row[n]:
-                infoset_values[key] = (v_passive, v_aggressive)
+                values[key] = (v_passive, v_aggressive)
                 worse = p_passive if take_aggressive else p_aggressive
                 gain = worse * abs(v_aggressive - v_passive)
                 if gain > 0:
@@ -82,8 +84,19 @@ def best_response(profile, seat):
         total += value[0]
         ev += mixed[0]
     deviations.sort(key=lambda deviation: deviation[0].sort_index())
-    return BestResponseResult(seat, total, chosen, infoset_values, ev=ev, gap=total - ev,
-                              deviations=deviations)
+    return BestResponseResult(seat, total, chosen, ev=ev, gap=total - ev,
+                              deviations=deviations), values
+
+
+def best_response(profile, seat):
+    """Expectimax best response, backed up in `Fraction`s."""
+    return _backup(profile, seat)[0]
+
+
+def action_values(profile, seat):
+    """Per own infoset of `seat` reached with nonzero opponent weight, its
+    opponent-reach-weighted (passive, aggressive) action values."""
+    return _backup(profile, seat)[1]
 
 
 def mask_values(profile, seat):

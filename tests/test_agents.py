@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -129,10 +130,12 @@ def node(seat, situation):
 
 
 def test_modeler_prior_is_one_half():
-    modeler = agents.FrequencyModeler(smoothing=1.0)
-    for seat in (1, 2, 3):
-        for situation in (1, 2, 3, 4):
-            assert modeler.estimate(node(seat, situation)) == 0.5
+    # At the float extremes too: 2 * smoothing overflows above max / 2.
+    for smoothing in (1.0, sys.float_info.max, sys.float_info.max / 2, 5e-324):
+        modeler = agents.FrequencyModeler(smoothing=smoothing)
+        for seat in (1, 2, 3):
+            for situation in (1, 2, 3, 4):
+                assert modeler.estimate(node(seat, situation)) == 0.5
 
 
 def test_modeler_counts_public_actions():
@@ -245,6 +248,10 @@ def test_make_agent_validation():
         make_agent(AgentSpec("NashLB", {"king_bet": 0.5}))
     with pytest.raises(ValueError, match="king_bet"):
         make_agent(AgentSpec("HonestNoBluff", {"king_bet": 1.5}))
+    # "0_1" would read as 1 and "\u0661/\u0662" as 1/2.
+    for king_bet in ("0_1", "\u0661/\u0662", "abc", [1]):
+        with pytest.raises(ValueError, match=f"^king_bet is not a number: {re.escape(repr(king_bet))}$"):
+            make_agent(AgentSpec("HonestNoBluff", {"king_bet": king_bet}))
     with pytest.raises(ValueError, match="smoothing"):
         make_agent(AgentSpec("FrequencyModeler", {"smoothing": -1}))
     with pytest.raises(ValueError, match="profile"):

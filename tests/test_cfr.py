@@ -19,6 +19,7 @@ import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -141,6 +142,13 @@ def test_run_is_incremental():
     two.run(200)
     assert one.iteration_count == two.iteration_count == 300
     assert one.average_profile().aggressive == two.average_profile().aggressive
+
+
+def test_run_rejects_negative_iterations():
+    trainer = eq.CfrTrainer()
+    with pytest.raises(ValueError, match="^iterations must be nonnegative$"):
+        trainer.run(-1)
+    assert trainer.iteration_count == 0
 
 
 def test_average_profile_is_valid():

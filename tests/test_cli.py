@@ -357,6 +357,8 @@ def test_cli_builds_each_pool_entry_once(tmp_path, capsys, monkeypatch, argv):
     {"agents": [{"kind": "NashLB", "name": "\ud800"},
                 {"kind": "UniformRandom"},
                 {"kind": "AlwaysAggressive"}]},
+    # Below 1, which would write inf to report.csv and Infinity to report.json.
+    {"normalization_divisor": 5e-324},
 ])
 def test_tournament_config_errors(tmp_path, capsys, mutation):
     config = {
@@ -390,13 +392,30 @@ def test_overlong_integer_in_config_is_a_config_error(tmp_path, capsys):
     assert len(stderr.splitlines()) == 1 and stderr.startswith("configuration error: ")
 
 
-def test_unknown_subcommand_and_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--variant", "XX", "--out", "x"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_and_flags_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    for argv, prog in ((["frobnicate"], "kuhn3p"),
+                       (["solve", "--variant", "XX", "--out", out], "kuhn3p solve"),
+                       (["train-cfr", "--iters", "abc", "--out", out], "kuhn3p train-cfr"),
+                       (["train-cfr", "--iters", "3"], "kuhn3p train-cfr")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and stderr.startswith(f"{prog}: error: "), stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_os_error_after_the_checks_is_one_line(tmp_path, capsys, monkeypatch):
+    def fail(path, text):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "_write_text", fail)
+    out = str(tmp_path / "lb.profile")
+    code, stdout, stderr = run(capsys, ["solve", "--variant", "LB", "--out", out])
+    assert code == 2 and stdout == ""
+    assert stderr == f"i/o error: [Errno 28] No space left on device: {out!r}\n"
 
 
 def cfr_trained_argv(tmp_path, command, profile_path):
@@ -789,6 +808,7 @@ def _mutated(draw, texts, separator, fields):
 @example(("verify", _SOLVED[0].replace("1 K 3 1/2", "1 K 3 1/0").encode("utf-8")))
 @example(("verify", _SOLVED[1].encode("utf-8")))
 @example(("verify", _SOLVED[0].replace("1 J 1 0", "\u0661 J \u0661 \u0660").encode("utf-8")))
+@example(("verify", _SOLVED[0].replace("1 K 3 1/2", "1 K 3 1_0/2_0").encode("utf-8")))
 @example(("replay", _LOGGED.replace("# seats: ", "# seats:\u2028").encode("utf-8")))
 @example(("replay", _LOGGED.replace(",KKK,", ", KKK,").encode("utf-8")))
 def test_cli_read_contract(command_data):

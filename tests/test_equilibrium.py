@@ -143,11 +143,18 @@ def test_best_response_ties_break_passive():
     found = 0
     for seat in (1, 2, 3):
         br = eq.best_response(profile, seat)
-        for key, (v_passive, v_aggressive) in br.infoset_values.items():
+        for key, (v_passive, v_aggressive) in reference.action_values(profile, seat).items():
             if v_passive == v_aggressive:
                 assert br.br_strategy[key] == 0
                 found += 1
     assert found >= 3
+
+
+@pytest.mark.parametrize("routine", [eq.best_response, eq.pure_strategy_oracle])
+def test_routines_reject_a_seat_outside_1_to_3(routine):
+    for seat in (0, 4):
+        with pytest.raises(ValueError, match=rf"^seat must be one of \(1, 2, 3\), got {seat}$"):
+            routine(strategy.nash_profile("LB"), seat)
 
 
 def test_epsilon_nonnegative_and_zero_only_at_equilibrium():
@@ -215,11 +222,11 @@ def enumerated_values(profile):
     return tuple(totals)
 
 
-def reference_deviations(profile, infoset_values):
+def reference_deviations(profile, seat):
     """The positive local gains, in sort_index() order, recomputed from
-    the action values and the profile's own probability."""
+    the reference's action values and the profile's own probability."""
     deviations = []
-    for key, (v_passive, v_aggressive) in sorted(infoset_values.items(),
+    for key, (v_passive, v_aggressive) in sorted(reference.action_values(profile, seat).items(),
                                                  key=lambda kv: kv[0].sort_index()):
         p = F(profile[key])
         gain = max(v_passive, v_aggressive) - (p * v_aggressive + (1 - p) * v_passive)
@@ -242,7 +249,7 @@ def test_tree_walks_match_oracle_and_enumeration(profile):
         deviated = strategy.StrategyProfile({**profile.aggressive, **br.br_strategy})
         assert eq.expected_values(deviated)[seat - 1] == br.br_value
         assert br.gap == br.br_value - br.ev
-        assert br.deviations == reference_deviations(profile, br.infoset_values)
+        assert br.deviations == reference_deviations(profile, seat)
         gaps.append(br.gap)
     assert eq.epsilon(profile) == eq.epsilon_report(profile).epsilon == max(gaps)
 

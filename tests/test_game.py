@@ -43,20 +43,19 @@ def naive_payoffs(deal: str, history: str) -> tuple[int, int, int]:
 
 def test_deck_and_deal_enumeration():
     assert game.CARDS == ("J", "Q", "K", "A")
-    deals = game.enumerate_deals()
+    deals = game.DEALS
     assert len(deals) == 24
     assert len(set(deals)) == 24
     for deal in deals:
         assert len(deal) == 3
         assert len(set(deal)) == 3
         assert set(deal) <= set(game.CARDS)
-    assert deals == game.DEALS
 
 
 def test_history_counts():
     assert len(game.TERMINAL_HISTORIES) == 13
     assert len(game.DECISION_HISTORIES) == 12
-    assert len(game.ALL_HISTORIES) == 25
+    assert len(game.NODES) == 25
     assert set(game.TERMINAL_HISTORIES).isdisjoint(game.DECISION_HISTORIES)
 
 
@@ -96,6 +95,10 @@ def test_illegal_histories_rejected():
     for bad in ("X", "KKKK", "BB", "KKBFFX", "F", "C", "KF"):
         with pytest.raises(game.IllegalHistoryError):
             game.action_pair(bad)
+    with pytest.raises(game.IllegalHistoryError, match="no actions at terminal history 'KKK'"):
+        game.action_pair("KKK")
+    with pytest.raises(game.IllegalHistoryError, match="history 'KB' is not terminal"):
+        game.showdown_seats("KB")
     with pytest.raises(game.IllegalHistoryError):
         game.terminal_payoffs("QKA", "KK")  # not terminal
     with pytest.raises(ValueError):
@@ -124,6 +127,8 @@ def test_infoset_keys():
     assert len(set(keys)) == 48
     assert game.infoset_key(3, "A", "KK") == game.InfoSetKey(3, "A", 1)
     assert game.infoset_key(1, "Q", "KBC") == game.InfoSetKey(1, "Q", 4)
+    with pytest.raises(ValueError, match="unknown card 'X'"):
+        game.infoset_key(1, "X", "")
     # 4 situations x 4 cards per seat.
     for seat in (1, 2, 3):
         seat_keys = [k for k in keys if k.seat == seat]
@@ -215,7 +220,7 @@ def test_terminal_of_decisions_matches_string_walk():
 
 def test_compiled_tables_match_string_api():
     assert game.NODES == game.DECISION_HISTORIES + game.TERMINAL_HISTORIES
-    assert all(game.NODES[game.NODE_ID[h]] == h for h in game.ALL_HISTORIES)
+    assert all(game.NODES[game.NODE_ID[h]] == h for h in game.NODES)
     keys = game.all_infoset_keys()
     for n, h in enumerate(game.DECISION_HISTORIES):
         seat = game.acting_seat(h)

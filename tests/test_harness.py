@@ -53,6 +53,10 @@ def test_match_config_validation():
         MatchConfig(master_seed=0, normalization_divisor="7")
     with pytest.raises(ValueError, match="finite"):  # an int with no float
         MatchConfig(master_seed=0, normalization_divisor=10 ** 400)
+    for below_one in (5e-324, 0.5):  # 5e-324 would report infinite normalized totals
+        with pytest.raises(ValueError, match=r"^normalization_divisor must be >= 1, got "):
+            MatchConfig(master_seed=0, normalization_divisor=below_one)
+    assert MatchConfig(master_seed=0, normalization_divisor=1).normalization_divisor == 1.0
     defaults = MatchConfig(master_seed=0)
     assert defaults.hands_per_match == 3000
     assert defaults.matches_per_permutation == 10
@@ -130,6 +134,11 @@ def test_run_match_rejects_illegal_actions():
     with pytest.raises(RuntimeError, match="^agent 'Illegal' returned illegal action 'C' "
                                            "at history '' in hand 0$"):
         harness.run_match(agents, cards, 0)
+
+
+def test_run_match_needs_three_agents():
+    with pytest.raises(ValueError, match="^a match needs exactly 3 agents, got 2$"):
+        harness.run_match(lineup(TRIPLE[:2]), [0], 0)
 
 
 class _CountingAgent(Agent):
@@ -218,7 +227,7 @@ def test_duplicate_set_slot_totals():
 def test_tournament_shape_and_aggregates():
     config = small_config()
     report = harness.run_tournament(list(TRIPLE), config)
-    assert report.labels == ["NashLB", "UniformRandom", "AlwaysAggressive"]
+    assert [r.label for r in report.agents] == ["NashLB", "UniformRandom", "AlwaysAggressive"]
     assert len(report.groupings) == 1
     grouping = report.groupings[0]
     assert grouping.pool_indices == (0, 1, 2)
@@ -333,6 +342,14 @@ def test_replay_rejects_rows_appended_twice():
         harness.replay_match_log(text + "".join(rows))
 
 
+def test_replay_of_a_log_without_hands():
+    # The column header makes a 0-hand log; the seats line alone is no log.
+    empty = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [])
+    assert harness.replay_match_log(harness.match_log(empty)) == empty
+    with pytest.raises(harness.ReplayError, match="^log contains no hands$"):
+        harness.replay_match_log("# seats: a,b,c\n")
+
+
 def test_replay_detects_malformed_rows():
     with pytest.raises(harness.ReplayError):
         harness.replay_match_log("hand,card1\n0,J\n")
@@ -385,6 +402,16 @@ def test_variance_study_values():
     assert study.duplicate_variance == pytest.approx(0.004763064069816944)
     assert study.independent_variance == pytest.approx(0.015647580530722294)
     assert study.ratio < 1.0
+
+
+def test_variance_study_ratio_when_both_variances_vanish():
+    # AlwaysAggressive bets first and both AlwaysPassive seats fold, so
+    # every hand wins it exactly 2 chips in either arm.
+    triple = (AgentSpec("AlwaysAggressive"),) + (AgentSpec("AlwaysPassive"),) * 2
+    study = harness.variance_study(triple, MatchConfig(master_seed=3, hands_per_match=10), 30)
+    assert study.duplicate_mean == study.independent_mean == 2.0
+    assert study.duplicate_variance == study.independent_variance == 0.0
+    assert study.ratio == 1.0
 
 
 def test_variance_study_rejects_few_replications():

@@ -93,7 +93,7 @@ def test_complete_profile_copies_and_fills():
     assert profile[InfoSetKey(3, "A", 1)] == 1
     assert profile[InfoSetKey(1, "K", 3)] == F(1, 2)
     # The 21 absent entries follow strict dominance.
-    filled = strategy.dominance_filled_keys()
+    filled = [k for k in game.all_infoset_keys() if (k.card, k.situation) in strategy.DOMINANCE]
     assert len(filled) == 21
     for key in filled:
         if key.card == "J":
@@ -203,6 +203,18 @@ def test_parse_profile_rejects_non_ascii_fields():
             strategy.parse_profile("\n".join(lines))
         assert err.value.lineno == at + 1
         assert "non-ASCII" in str(err.value)
+
+
+def test_parse_profile_rejects_digit_separators():
+    # int, float and Fraction read '_' between digits; serialize_profile never writes it.
+    lb = strategy.serialize_profile(strategy.nash_profile("LB")).splitlines()
+    at = lb.index("1 K 3 1/2")
+    for line in ("1 K 3 1_0/2_0", "1 K 3 0_1", "1 K 3 0.5_0", "0_1 K 3 1/2", "1 K 0_3 1/2"):
+        lines = lb[:at] + [line] + lb[at + 1:]
+        with pytest.raises(strategy.ProfileFormatError) as err:
+            strategy.parse_profile("\n".join(lines))
+        assert err.value.lineno == at + 1
+        assert "'_'" in str(err.value)
 
 
 def test_nash_profile_equals_completed_table():
