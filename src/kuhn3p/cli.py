@@ -256,8 +256,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process. Each handler is looked up on
-    the module when it runs, so a replaced cmd_* function takes effect."""
+    """The parser, built once per process. `main` looks up cmd_<command>,
+    '-' as '_', on the module when it runs, so a replacement takes effect."""
     parser = _Parser(
         prog="kuhn3p",
         description="Three-player Kuhn poker: exact solving, verification, "
@@ -267,33 +267,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="write a completed LB or UB profile")
     p.add_argument("--variant", required=True, choices=strategy.VARIANTS)
     p.add_argument("--out", required=True, help="output profile path")
-    p.set_defaults(func=lambda args: cmd_solve(args))
 
     p = sub.add_parser("verify", help="exact best-response verification of a profile")
     p.add_argument("--profile", required=True, help="profile file to verify")
     p.add_argument("--threshold", type=float, default=1e-9,
                    help="accept epsilon at or below this value (default 1e-9)")
-    p.set_defaults(func=lambda args: cmd_verify(args))
 
     p = sub.add_parser("train-cfr", help="train vanilla CFR and write the average profile")
     p.add_argument("--iters", type=int, required=True, help="number of iterations")
     p.add_argument("--out", required=True, help="output profile path; trace goes to <out>.trace.csv")
-    p.set_defaults(func=lambda args: cmd_train_cfr(args))
 
     p = sub.add_parser("tournament", help="run the duplicate-match tournament protocol")
     p.add_argument("--config", required=True, help="JSON configuration file")
     p.add_argument("--out", required=True, help="output directory for logs and reports")
-    p.set_defaults(func=lambda args: cmd_tournament(args))
 
     p = sub.add_parser("variance-study", help="duplicate vs independent-card variance comparison")
     p.add_argument("--config", required=True, help="JSON configuration file (exactly 3 agents)")
     p.add_argument("--replications", type=int, default=100, help="replications per arm (>= 30)")
     p.add_argument("--out", default=None, help="optional JSON output path")
-    p.set_defaults(func=lambda args: cmd_variance_study(args))
 
     p = sub.add_parser("replay", help="re-derive chips from a match log and check agreement")
     p.add_argument("--log", required=True, help="match log file")
-    p.set_defaults(func=lambda args: cmd_replay(args))
 
     return parser
 
@@ -302,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -6,13 +6,13 @@ infoset index and the payoff array. None of them touches a history string.
 
 Verification is exact and runs on integers: a profile's probabilities
 become integer numerators over D, the lcm of their denominators (exact
-even for floats), and every value over the 24 equiprobable deals is an
-integer numerator over one common denominator. Only returned values are
-`Fraction`s, and a profile is an equilibrium iff its gap `epsilon` is
-exactly zero. A seat's payoff is linear in its own strategy; one pass
-over the deals (`_card_tables`) sums, per card the seat may hold, its
-opponent-weighted reach and terminal values, and every exact routine
-reads that table. Two independent routes maximize it:
+even for floats), and every reach and value over the 24 equiprobable
+deals is a numerator over one denominator, 24 * D**5. Only returned
+values are `Fraction`s, and a profile is an equilibrium iff its gap
+`epsilon` is exactly zero. A seat's payoff is linear in its own strategy;
+one pass over the deals (`_card_tables`) sums, per card the seat may
+hold, its opponent-weighted reach and terminal values, and every exact
+routine reads that table. Two independent routes maximize it:
 
   * `best_response` backs each card's row up in reverse node order,
     maximizing at the seat's own nodes (ties go to the passive action)
@@ -54,10 +54,8 @@ from .strategy import StrategyProfile
 _N_DEALS = len(DEALS)
 _INFOSET = game.INFOSET_INDEX.tolist()  # Python ints: numpy integers would overflow
 _PAYOFFS = game.PAYOFFS.tolist()
-#: (seat - 1, node) -> the seat's own decisions (at most two) on the node's root path.
-_OWN = [[sum(DECISION_SEAT[m] == seat for m, _ in path) for path in game.PATHS] for seat in SEATS]
-#: The most opponent decisions on any root path (4).
-_L = max(len(path) - own for row in _OWN for path, own in zip(game.PATHS, row))
+#: The most decisions on any root path (5).
+_L = max(len(path) for path in game.PATHS)
 #: Per seat - 1: its 16 keys in all_infoset_keys() order. The key of the c-th
 #: card in situation sit is number 4 * c + sit - 1, its bit in a pure strategy.
 _OWN_KEYS = [game.all_infoset_keys()[16 * i:16 * i + 16] for i in range(len(SEATS))]
@@ -78,10 +76,10 @@ def _card_tables(denominator: int, probabilities: list[tuple[int, int]],
     """Per card index of `seat`, a row over the 25 nodes summed over the
     six deals in which the seat holds that card: at a decision node the
     chance- and opponent-weighted reach, at a terminal that reach times the
-    seat's payoff. The seat's own actions count as certain. Entries are
-    integer numerators over 24 * D**L, L the most opponent decisions on a
-    root path: below j of them a reach is a product of j numerators over
-    24 * D**j, so a node's sum is scaled by D**(L - j)."""
+    seat's payoff. The seat's own actions count as certain, numerator D.
+    Entries are integer numerators over 24 * D**L, L the most decisions
+    on a root path: each decision contributes one numerator over D, so a
+    node j decisions deep is scaled by D**(L - j)."""
     tables = [[0] * len(game.NODES) for _ in CARDS]
     for deal, cards in enumerate(DEALS):
         infosets, payoffs = _INFOSET[deal], _PAYOFFS[deal]
@@ -91,12 +89,12 @@ def _card_tables(denominator: int, probabilities: list[tuple[int, int]],
         for n, path in enumerate(game.PATHS[1:], start=1):
             m, action = path[-1]  # the parent, and the action taken there
             r = reach[m]
-            if r and DECISION_SEAT[m] != seat:
-                r *= probabilities[infosets[m]][action]
+            if r:
+                r *= denominator if DECISION_SEAT[m] == seat else probabilities[infosets[m]][action]
             reach.append(r)
             if r:
                 row[n] += r if n < N_DECISIONS else r * payoffs[n][seat - 1]
-    scale = [denominator ** (_L - len(path) + own) for path, own in zip(game.PATHS, _OWN[seat - 1])]
+    scale = [denominator ** (_L - len(path)) for path in game.PATHS]
     return [[v * s for v, s in zip(row, scale)] for row in tables]
 
 
@@ -133,21 +131,20 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     enters `deviations` if its gain, the better child less the profile's
     mixture of the two, is positive.
 
-    Both are integer numerators: `value` over the tables' denominator, so
-    ties are integer ties; `mixed`, which gains a factor D at each own
-    node, over 24 * D**(L + 2 - o) below o own decisions.
+    Both values are integer numerators over the tables' one denominator,
+    so ties are integer ties. The mixture divides by D exactly: each
+    child's sum carries the D of the own step into it.
     """
     if seat not in SEATS:
         raise ValueError(f"seat must be one of {SEATS}, got {seat}")
     denominator, probabilities = _action_probabilities(profile)
-    lift = [denominator ** (2 - own) for own in _OWN[seat - 1]]
     value_denominator = _N_DEALS * denominator ** _L
     chosen: dict[InfoSetKey, Fraction] = {}
     gains: list[tuple[InfoSetKey, int]] = []
     total = ev = 0
     for c, row in enumerate(_card_tables(denominator, probabilities, seat)):
         value = row[:]  # the terminals hold their own values
-        mixed = [v * lifted for v, lifted in zip(row, lift)]
+        mixed = row[:]
         for n in reversed(range(N_DECISIONS)):
             passive, aggressive = PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n]
             if DECISION_SEAT[n] != seat:
@@ -160,7 +157,7 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
             chosen[key] = _PURE[take_aggressive]
             value[n] = v_aggressive if take_aggressive else v_passive
             p_passive, p_aggressive = probabilities[KEY_INDEX[key]]
-            mixed[n] = p_passive * mixed[passive] + p_aggressive * mixed[aggressive]
+            mixed[n] = (p_passive * mixed[passive] + p_aggressive * mixed[aggressive]) // denominator
             if row[n]:
                 # p_passive + p_aggressive == D, so the mixture falls short of
                 # the better child by the worse action's share of the gap.
@@ -172,7 +169,7 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
     deviations = [(key, Fraction(gain, value_denominator * denominator))
                   for key, gain in sorted(gains, key=lambda gain: gain[0].sort_index())]
     br_value = Fraction(total, value_denominator)
-    ev = Fraction(ev, value_denominator * denominator ** 2)
+    ev = Fraction(ev, value_denominator)
     return BestResponseResult(seat, br_value, chosen, ev=ev, gap=br_value - ev,
                               deviations=deviations)
 

@@ -167,8 +167,9 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     for n, seat in enumerate(DECISION_SEAT):
         fixed.append(1 << n if type(agents[seat - 1]) is ProfileAgent else 0)
         if fixed[n]:
-            decisions |= (uniforms[:, seat - 1, DECISION_SLOT[n]]
-                          < agents[seat - 1].probabilities[game.INFOSET_INDEX[deals, n]]) << n
+            decisions |= np.left_shift(uniforms[:, seat - 1, DECISION_SLOT[n]]
+                                       < agents[seat - 1].probabilities[game.INFOSET_INDEX[deals, n]],
+                                       n, dtype=np.intp)
     node = (game.TERMINAL_OF_DECISIONS[decisions] if all(fixed)
             else _play_each(agents, deals, uniforms, fixed, decisions))
     hands = deals * game.N_TERMINALS + node - N_DECISIONS

@@ -95,6 +95,59 @@ def test_ub_b32_repairs_exactly_on_half_to_fifteen_sixteenths():
     assert (epsilon(F(15, 16) + h), epsilon(F(15, 16) + h / 2)) == (F(1, 768), F(1, 1536))
 
 
+def min_epsilon_over_one_entry(profile, key):
+    """The exact minimum of epsilon over [0, 1] as only the entry at `key`
+    varies, and the point where the search reaches it.
+
+    Each seat's gap is convex and piecewise affine in that entry p: for a
+    seat that does not own it, the best response is a max of functions
+    affine in p and `ev` is affine; for its owner the best response does
+    not depend on p. At a point, the max-gap seat's pure best response
+    sigma gives one such line, sigma's ev less the seat's, which touches
+    epsilon there and lies below it elsewhere. Cutting planes: minimize
+    the max of the lines found exactly, over the ends and the crossings,
+    until epsilon at the minimizer equals that max.
+    """
+    def at(p):
+        return profile.replace(key, p)
+
+    lines = []  # (value at 0, slope)
+    p = profile[key]
+    for _ in range(8):
+        report = eq.epsilon_report(at(p))
+        if lines and max(a + b * p for a, b in lines) == report.epsilon:
+            return report.epsilon, p
+        worst = max(report.seats, key=lambda s: s.gap)
+        g0, g1 = (eq.best_response(strategy.StrategyProfile({**at(x).aggressive, **worst.br_strategy}),
+                                   worst.seat).ev - eq.best_response(at(x), worst.seat).ev
+                  for x in (F(0), F(1)))
+        assert g0 + (g1 - g0) * p == report.epsilon
+        lines.append((g0, g1 - g0))
+        crossings = ((a2 - a1) / (b1 - b2) for a1, b1 in lines for a2, b2 in lines if b1 > b2)
+        points = sorted({F(0), F(1), *(x for x in crossings if 0 <= x <= 1)})
+        p = min(points, key=lambda x: max(a + b * x for a, b in lines))
+    raise AssertionError(f"no exact minimum for {key} after 8 cuts")
+
+
+def test_no_other_single_ub_entry_closes_the_gap():
+    # Only b32 = (2, K, 2) can close UB's 1/192 gap on its own, from the low
+    # end of its repair interval. Seven other entries narrow the gap; the
+    # other 40, (2, J, 1), (2, Q, 1), (3, J, 1) and (3, Q, 1) among them,
+    # cannot move it below 1/192.
+    profile = strategy.nash_profile("UB")
+    minima = {(key.seat, key.card, key.situation): min_epsilon_over_one_entry(profile, key)
+              for key in game.all_infoset_keys()}
+    below = {entry: value for entry, (value, _) in minima.items() if value < F(1, 192)}
+    assert below == {(2, "K", 2): 0, (2, "K", 4): F(1, 384), (3, "K", 1): F(1, 336),
+                     (2, "K", 1): F(5, 1536), (3, "K", 2): F(1, 240), (3, "Q", 2): F(5, 1152),
+                     (3, "J", 2): F(5, 1056), (1, "A", 1): F(5, 984)}
+    assert {value for entry, (value, _) in minima.items() if entry not in below} == {F(1, 192)}
+    assert (minima[2, "K", 2][1], minima[2, "K", 4][1]) == (F(1, 2), F(1, 8))
+    # The closest miss, checked on a 1/64 grid: 1/384 at 1/8 and nowhere lower.
+    grid = [eq.epsilon(profile.replace(InfoSetKey(2, "K", 4), F(i, 64))) for i in range(65)]
+    assert min(grid) == grid[8] == F(1, 384)
+
+
 def test_uniform_profile_constants():
     profile = strategy.constant_profile(F(1, 2))
     assert eq.expected_values(profile) == (F(15, 64), F(-3, 64), F(-3, 16))
