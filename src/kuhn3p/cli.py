@@ -10,7 +10,7 @@ Subcommands:
     replay          re-derive chips from a match log and check agreement
 
 Exit status: 0 on success/verified, 1 on verification failure or replay
-mismatch, 2 on usage or configuration errors.  Every command is
+mismatch, 2 on a usage or input error, printed as one line.  Every command is
 deterministic given its flags; nothing reads the clock.
 """
 
@@ -30,19 +30,15 @@ from .agents import AgentSpec
 from .strategy import ProfileFormatError, StrategyProfile
 
 
-class ConfigError(ValueError):
-    """A configuration file failed validation; message names the field."""
-
-
 def _read_text(path: str, failure: Optional[str] = None) -> str:
     """The text of a UTF-8 file.  A file that cannot be opened or decoded,
-    or a path open rejects, is a ConfigError reading '<failure>: <reason>',
+    or a path open rejects, is a ValueError reading '<failure>: <reason>',
     where failure defaults to 'cannot read <path!r>'."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in path
-        raise ConfigError(f"{failure or f'cannot read {path!r}'}: {exc}") from exc
+        raise ValueError(f"{failure or f'cannot read {path!r}'}: {exc}") from exc
 
 
 def _read_profile(path: str, where: str) -> StrategyProfile:
@@ -50,7 +46,7 @@ def _read_profile(path: str, where: str) -> StrategyProfile:
     try:
         return strategy.parse_profile(text)
     except ProfileFormatError as exc:
-        raise ConfigError(f"{where}: CFRTrained profile {path!r} is malformed: {exc}") from exc
+        raise ValueError(f"{where}: CFRTrained profile {path!r} is malformed: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -60,15 +56,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _check_out(path: str, directory: bool) -> None:
-    """Before a command runs, a ConfigError for an --out path that its
-    writes would fail on: one holding a NUL or a lone surrogate, a directory
-    whose nearest existing ancestor (or itself) is not a directory, or a
-    file naming an existing directory or in a missing directory."""
+    """Before a command runs, a ValueError for an --out path that its writes
+    would fail on: an empty one, one holding a NUL or a lone surrogate, a
+    directory whose nearest existing ancestor (or itself) is not a directory,
+    or a file naming an existing directory or in a missing directory."""
     try:
-        if b"\0" in os.fsencode(path):  # fsencode raises for a lone surrogate
-            raise ValueError("embedded null byte")
-    except ValueError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        encoded = os.fsencode(path)
+    except ValueError as exc:  # a lone surrogate
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
+    _require(encoded != b"", f"cannot write {path!r}: empty path")
+    _require(b"\0" not in encoded, f"cannot write {path!r}: embedded null byte")
     if directory:  # os.makedirs creates the missing part
         where = path
         while where and not os.path.lexists(where):
@@ -139,7 +136,7 @@ def cmd_train_cfr(args: argparse.Namespace) -> int:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
@@ -160,15 +157,15 @@ def _parse_agent(entry: object, where: str, directory: str) -> AgentSpec:
 def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     """Parse a tournament or variance-study config file into a list of
     agent specs, each CFRTrained profile file (a path relative to the
-    config's directory) read into its spec, and a MatchConfig.  A failure
-    of harness.MatchConfig, which owns its rules, is a ConfigError naming
-    the field.  The specs are checked, counted and labelled by the harness
-    when it builds the pool (_run)."""
+    config's directory) read into its spec, and a MatchConfig.  A bad
+    file, entry or value is a ValueError naming it; harness.MatchConfig
+    owns its own rules.  The specs are checked, counted and labelled by
+    the harness when it builds the pool."""
     text = _read_text(path)
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, too deep
-        raise ConfigError(f"{path!r}: invalid JSON: {exc}") from exc
+        raise ValueError(f"{path!r}: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), f"{path!r}: top level must be an object")
     unknown = set(raw) - {"agents"} - {f.name for f in fields(harness.MatchConfig)}
     _require(not unknown, f"{path!r}: unknown keys {sorted(unknown)}")
@@ -177,26 +174,13 @@ def load_config(path: str) -> tuple[list[AgentSpec], harness.MatchConfig]:
     entries = raw.pop("agents")
     _require(isinstance(entries, list), "agents: expected a list")
     pool = [_parse_agent(e, f"agents[{i}]", os.path.dirname(path)) for i, e in enumerate(entries)]
-    try:
-        config = harness.MatchConfig(**raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return pool, config
-
-
-def _run(harness_call, *args):
-    """harness_call(*args); its ValueError, such as a bad spec or a pool of
-    the wrong size, is a ConfigError."""
-    try:
-        return harness_call(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return pool, harness.MatchConfig(**raw)
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
     pool, config = load_config(args.config)
     _check_out(args.out, directory=True)
-    report = _run(harness.run_tournament, pool, config)
+    report = harness.run_tournament(pool, config)
     os.makedirs(args.out, exist_ok=True)
     for grouping in report.groupings:
         a, b, c = grouping.pool_indices
@@ -221,11 +205,11 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
 def cmd_variance_study(args: argparse.Namespace) -> int:
     triple, config = load_config(args.config)
-    if args.out:
+    if args.out is not None:
         _check_out(args.out, directory=False)
-    study = _run(harness.variance_study, triple, config, args.replications)
+    study = harness.variance_study(triple, config, args.replications)
     record = {"studied_agent": study.agents[0], **asdict(study)}
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
     print(f"duplicate variance:   {study.duplicate_variance!r}")
@@ -293,11 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the one place an input error becomes exit 2 and one
+    line.  A ValueError escaping any command, such as each input rule's, prints
+    as 'configuration error: <message>', and an OSError as 'i/o error: ...'."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

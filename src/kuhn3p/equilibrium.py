@@ -105,7 +105,7 @@ class BestResponseResult:
     `br_strategy` maps the seat's 16 infosets to a pure (0 or 1)
     aggressive probability. `ev` is the seat's own expected value under
     the profile, from the same backup, and `gap` is `br_value - ev`.
-    `deviations` lists, in `sort_index()` order, the infosets where the
+    `deviations` lists, in `KEY_INDEX` order, the infosets where the
     best response strictly beats the profile's own mixture, with that
     local, opponent-reach-weighted gain. Only the brute-force oracle sets
     `evaluations`; it leaves `ev` and `gap` None and `deviations` empty.
@@ -167,7 +167,7 @@ def best_response(profile: StrategyProfile, seat: int) -> BestResponseResult:
         total += value[0]
         ev += mixed[0]
     deviations = [(key, Fraction(gain, value_denominator * denominator))
-                  for key, gain in sorted(gains, key=lambda gain: gain[0].sort_index())]
+                  for key, gain in sorted(gains, key=lambda gain: KEY_INDEX[gain[0]])]
     br_value = Fraction(total, value_denominator)
     ev = Fraction(ev, value_denominator)
     return BestResponseResult(seat, br_value, chosen, ev=ev, gap=br_value - ev,
@@ -393,9 +393,3 @@ class CfrTrainer:
         norms = passive + aggressive
         average = np.divide(aggressive, norms, out=np.full_like(norms, 0.5), where=norms > 0)
         return StrategyProfile(dict(zip(game.all_infoset_keys(), average.tolist())))
-
-
-def cfr_train(iterations: int) -> StrategyProfile:
-    """Average profile of `iterations` vanilla-CFR sweeps; uniform when
-    `iterations` is zero."""
-    return CfrTrainer().run(iterations).average_profile()

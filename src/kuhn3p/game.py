@@ -61,9 +61,6 @@ class InfoSetKey(NamedTuple):
     card: str
     situation: int
 
-    def sort_index(self) -> tuple[int, int, int]:
-        return (self.seat, CARD_INDEX[self.card], self.situation)
-
 
 # Betting situations, one table per seat: situation number -> the prior
 # action string at which that seat acts.

@@ -232,25 +232,20 @@ def _play_seatings(agents: Sequence[Agent], master_seed: int, cards: Sequence[np
     return DuplicateSet(matches, tuple(totals))
 
 
-def _duplicate_set(agents: Sequence[Agent], config: MatchConfig,
-                   set_key: Sequence[int]) -> DuplicateSet:
+def run_duplicate_set(agents: Sequence[Agent], config: MatchConfig,
+                      set_key: Sequence[int]) -> DuplicateSet:
+    """One duplicate set of three built agents: a fresh card sequence
+    replayed over all 6 seatings, as _play_seatings plays them.
+
+    set_key identifies the set within the tournament (grouping indices plus
+    set index); it keys both the card stream and the per-permutation
+    decision streams.
+    """
     if len(agents) != 3:
         raise ValueError(f"agents: a duplicate set needs exactly 3 agents, got {len(agents)}")
     key = tuple(int(k) for k in set_key)
     cards = deal_sequence(config.master_seed, (_DOMAIN_CARDS,) + key, config.hands_per_match)
     return _play_seatings(agents, config.master_seed, [cards] * 6, (_DOMAIN_DECISIONS,) + key)
-
-
-def run_duplicate_set(triple: Sequence[AgentSpec], config: MatchConfig,
-                      set_key: Sequence[int]) -> DuplicateSet:
-    """One duplicate set: a fresh card sequence replayed over all 6 seatings.
-
-    set_key identifies the set within the tournament (grouping indices plus
-    set index); it keys both the card stream and the per-permutation
-    decision streams.  Each spec is built once (_pool_agents); a stateful
-    agent is copied from that unplayed instance for every match.
-    """
-    return _duplicate_set(_pool_agents(triple), config, set_key)
 
 
 @dataclass
@@ -356,7 +351,7 @@ def run_tournament(pool: Sequence[AgentSpec], config: MatchConfig,
     for indices in itertools.combinations(range(len(pool)), 3):
         sets = []
         for set_idx in range(config.matches_per_permutation):
-            dup = _duplicate_set([built[i] for i in indices], config, indices + (set_idx,))
+            dup = run_duplicate_set([built[i] for i in indices], config, indices + (set_idx,))
             if not keep_hands:
                 for match in dup.matches:
                     match.hands.clear()
@@ -539,7 +534,7 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     stateful agent is copied from that unplayed instance for every match.
     Raises ValueError, before any hand is played, for fewer than 30
     replications, for what _pool_agents rejects and for a triple that is
-    not 3 agents (_duplicate_set).
+    not 3 agents (run_duplicate_set).
     """
     if replications < 30:
         raise ValueError(f"replications must be >= 30, got {replications}")
@@ -548,7 +543,7 @@ def variance_study(triple: Sequence[AgentSpec], config: MatchConfig,
     duplicate_samples = []
     independent_samples = []
     for r in range(replications):
-        dup = _duplicate_set(built, config, (_DOMAIN_STUDY_CARDS, r))
+        dup = run_duplicate_set(built, config, (_DOMAIN_STUDY_CARDS, r))
         duplicate_samples.append(dup.slot_totals[0] / hands_per_rep)
 
         cards = [deal_sequence(config.master_seed, (_DOMAIN_STUDY_INDEP_CARDS, r, p),

@@ -83,7 +83,7 @@ def _backup(profile, seat):
                     deviations.append((key, gain))
         total += value[0]
         ev += mixed[0]
-    deviations.sort(key=lambda deviation: deviation[0].sort_index())
+    deviations.sort(key=lambda deviation: KEY_INDEX[deviation[0]])
     return BestResponseResult(seat, total, chosen, ev=ev, gap=total - ev,
                               deviations=deviations), values
 

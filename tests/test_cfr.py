@@ -108,7 +108,7 @@ def test_zero_iterations_gives_uniform_average():
     trainer = eq.CfrTrainer()
     profile = trainer.average_profile()
     assert all(p == 0.5 for p in profile.aggressive.values())
-    assert eq.cfr_train(0).aggressive == profile.aggressive
+    assert eq.CfrTrainer().run(0).average_profile().aggressive == profile.aggressive
 
 
 def test_current_policy_starts_uniform():
@@ -120,8 +120,8 @@ def test_current_policy_starts_uniform():
 
 
 def test_training_is_deterministic():
-    a = eq.cfr_train(500)
-    b = eq.cfr_train(500)
+    a = eq.CfrTrainer().run(500).average_profile()
+    b = eq.CfrTrainer().run(500).average_profile()
     assert a.aggressive == b.aggressive
 
 
@@ -152,7 +152,7 @@ def test_run_rejects_negative_iterations():
 
 
 def test_average_profile_is_valid():
-    profile = eq.cfr_train(200)
+    profile = eq.CfrTrainer().run(200).average_profile()
     assert len(profile.aggressive) == 48
     assert all(0.0 <= p <= 1.0 for p in profile.aggressive.values())
 
@@ -174,7 +174,8 @@ def test_epsilon_shrinks_with_training():
 
 
 def test_trained_profile_beats_uniform_start():
-    assert eq.epsilon(eq.cfr_train(2000)) < eq.epsilon(strategy.constant_profile(F(1, 2)))
+    trained = eq.CfrTrainer().run(2000).average_profile()
+    assert eq.epsilon(trained) < eq.epsilon(strategy.constant_profile(F(1, 2)))
 
 
 # Mixed signs, zeros (signed too) and magnitudes up to 1e6; a row with no

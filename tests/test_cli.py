@@ -517,24 +517,30 @@ def test_out_path_with_nul_is_a_config_error(tmp_path, capsys, command):
     ("variance-study", "new/out", "'new' is not a directory"),
     ("variance-study", "adir", "'adir' is a directory"),
     ("train-cfr", "new/out", "'new' is not a directory"),
+    ("solve", "", "empty path"),
+    ("train-cfr", "", "empty path"),
+    ("tournament", "", "empty path"),
+    ("variance-study", "", "empty path"),
 ], ids=["tournament-nul", "variance-study-nul", "tournament-surrogate",
         "variance-study-surrogate", "tournament-existing-file", "tournament-below-a-file",
         "variance-study-missing-parent", "variance-study-existing-directory",
-        "train-cfr-missing-parent"])
+        "train-cfr-missing-parent", "solve-empty", "train-cfr-empty", "tournament-empty",
+        "variance-study-empty"])
 def test_unwritable_out_is_rejected_before_the_run(tmp_path, capsys, monkeypatch, command, out,
                                                    reason):
     def refuse(*args):
         raise AssertionError("the run started")
 
     for owner, name in ((harness, "run_tournament"), (harness, "variance_study"),
-                        (cli.equilibrium, "CfrTrainer")):
+                        (cli.equilibrium, "CfrTrainer"), (cli.strategy, "nash_profile")):
         monkeypatch.setattr(owner, name, refuse)
     monkeypatch.chdir(tmp_path)
     config = write_config(tmp_path, hands_per_match=3)
     Path("afile").write_text("kept\n", encoding="utf-8")
     Path("adir").mkdir()
     flags = {"tournament": ["--config", config], "train-cfr": ["--iters", "3"],
-             "variance-study": ["--config", config, "--replications", "30"]}[command]
+             "variance-study": ["--config", config, "--replications", "30"],
+             "solve": ["--variant", "LB"]}[command]
     code, stdout, stderr = run(capsys, [command, *flags, "--out", out])
     assert (code, stdout) == (2, "")
     assert stderr == f"configuration error: cannot write {out!r}: {reason}\n"

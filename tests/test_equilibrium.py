@@ -14,7 +14,9 @@ denominator, equal to the earlier `Fraction` routines kept in
 from __future__ import annotations
 
 import ast
+import doctest
 import functools
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -276,11 +278,11 @@ def enumerated_values(profile):
 
 
 def reference_deviations(profile, seat):
-    """The positive local gains, in sort_index() order, recomputed from
+    """The positive local gains, in KEY_INDEX order, recomputed from
     the reference's action values and the profile's own probability."""
     deviations = []
     for key, (v_passive, v_aggressive) in sorted(reference.action_values(profile, seat).items(),
-                                                 key=lambda kv: kv[0].sort_index()):
+                                                 key=lambda kv: game.KEY_INDEX[kv[0]]):
         p = F(profile[key])
         gain = max(v_passive, v_aggressive) - (p * v_aggressive + (1 - p) * v_passive)
         if gain > 0:
@@ -314,7 +316,8 @@ exact_profiles = st.one_of(
     st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), min_size=48, max_size=48),
     st.lists(st.one_of(extreme_floats, st.floats(min_value=0.0, max_value=1.0)),
              min_size=48, max_size=48),
-).map(profile_of) | st.sampled_from([0, 1, 10, 300, 3000]).map(functools.cache(eq.cfr_train))
+).map(profile_of) | st.sampled_from([0, 1, 10, 300, 3000]).map(functools.cache(
+    lambda n: eq.CfrTrainer().run(n).average_profile()))
 
 
 # Fewer examples than the suite's default: each one sums the 65,536 masks
@@ -386,3 +389,14 @@ def test_no_src_function_calls_itself():
                     for call in ast.walk(node)):
                 recursive.append(f"{path.name}:{node.name}")
     assert recursive == []
+
+
+def test_readme_python_examples_run():
+    # Each fenced python block of README.md, run as a doctest.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        test = doctest.DocTestParser().get_doctest(block, {}, f"README.md python block {i}",
+                                                   "README.md", 0)
+        assert test.examples and doctest.DocTestRunner().run(test).failed == 0

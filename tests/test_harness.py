@@ -197,7 +197,7 @@ def test_observers_see_exactly_what_the_rules_reveal(seats, hands, seed):
 
 def test_duplicate_set_shares_cards_and_rotates_seats():
     config = small_config()
-    ds = harness.run_duplicate_set(TRIPLE, config, (0,))
+    ds = harness.run_duplicate_set(lineup(TRIPLE), config, (0,))
     assert len(ds.matches) == 6
     sequences = {tuple(o // 13 for o in m.hands) for m in ds.matches}
     assert len(sequences) == 1  # all six matches replay the same cards
@@ -213,7 +213,7 @@ def test_duplicate_set_shares_cards_and_rotates_seats():
 
 
 def test_duplicate_set_slot_totals():
-    ds = harness.run_duplicate_set(TRIPLE, small_config(), (0,))
+    ds = harness.run_duplicate_set(lineup(TRIPLE), small_config(), (0,))
     assert ds.slot_totals == (58, -91, 33)
     assert sum(ds.slot_totals) == 0
     # Slot totals re-derive from the per-match seat totals.
@@ -286,9 +286,8 @@ def test_tournament_rejects_small_pools_and_bad_labels():
 
 @pytest.mark.parametrize("play", [
     lambda pool: harness.run_tournament(pool, small_config()),
-    lambda pool: harness.run_duplicate_set(pool, small_config(), (0,)),
     lambda pool: harness.variance_study(pool, small_config(), 30),
-], ids=["tournament", "duplicate-set", "variance-study"])
+], ids=["tournament", "variance-study"])
 def test_pool_errors_name_the_bad_entry(play):
     pool = list(TRIPLE)
     pool[1] = AgentSpec("NashLB", {"king_bet": 0.5})
