@@ -30,10 +30,10 @@ every iteration enumerates all 24 deals, updates all three seats'
 regrets simultaneously under the regret-matching policy, and accumulates
 the reach-weighted average strategy. Each sweep reads every decision
 node's reaches off its root path in one numpy gather, then backs values
-up the tree in one bottom-up pass, both vectorized across deals: each
-node is one multiply and one add into its slot of a child-pair array,
-where a decision node's two children sit side by side. The updates are
-gathered per infoset in deal order and applied as six in-place adds, so
+up the tree one depth at a time, deals innermost: each depth is one
+multiply and one add into a child-pair array, where a node's two
+children sit side by side and each depth's children fill one block. One
+ordered reduction applies each infoset's updates in deal order, so
 every float is that of a deal-by-deal accumulation. Training is fully
 deterministic (there is no sampling).
 """
@@ -271,34 +271,42 @@ def epsilon(profile: StrategyProfile) -> Fraction:
 
 _N_KEYS = len(game.all_infoset_keys())
 _CHANCE_F = 1.0 / _N_DEALS
-#: (decision node, deal) -> infoset index.
-_NODE_INFOSETS = game.INFOSET_INDEX.T
-#: (action, decision node, deal) -> index of the infoset's action in the
+#: The trainer's node axis, breadth first from the root: position ->
+#: decision node. The node in position j has its children in slots 2j and
+#: 2j + 1 of the child-pair array, and the root has the last slot.
+_ORDER = sorted(range(N_DECISIONS), key=lambda n: (len(game.PATHS[n]), [a for _, a in game.PATHS[n]]))
+_SLOT = [2 * N_DECISIONS] + [2 * _ORDER.index(m) + a for m, a in (path[-1] for path in game.PATHS[1:])]
+#: Per depth, its run of positions. A run must fill contiguous slots, for
+#: one multiply and one add to back it up.
+_DEPTH = [len(game.PATHS[n]) for n in _ORDER]
+_LEVELS = [range(_DEPTH.index(d), _DEPTH.index(d) + _DEPTH.count(d)) for d in range(_DEPTH[-1] + 1)]
+_GAPS = [d for d, level in enumerate(_LEVELS) if len({_SLOT[_ORDER[j]] - j for j in level}) > 1]
+if _GAPS:
+    raise ValueError(f"level {_GAPS[0]}: its decision nodes do not fill contiguous slots")
+#: (position, deal) -> infoset index.
+_NODE_INFOSETS = game.INFOSET_INDEX.T[_ORDER]
+#: (action, position, deal) -> index of the infoset's action in the
 #: flattened (action, infoset) policy.
 _POLICY_INDEX = np.array([_NODE_INFOSETS + action * _N_KEYS for action in (0, 1)])
-#: Per node: its slot in the trainer's child-pair array, 2 * parent +
-#: action, so decision node n's children sit in slots 2n and 2n + 1; the
-#: root takes the last slot.
-_SLOT = [2 * N_DECISIONS] + [2 * m + action for m, action in (path[-1] for path in game.PATHS[1:])]
-#: (node, passive child, aggressive child) -> slot, per decision node.
-_VALUE_SLOTS = np.array([[_SLOT[n] for n in nodes]
-                         for nodes in (range(N_DECISIONS), PASSIVE_CHILD, AGGRESSIVE_CHILD)])
-_ACTOR = np.array(DECISION_SEAT) - 1
-#: (decision node, role, slot) -> row, in the trainer's probability buffer
-#: (row 0 ones, then probability[action, decision node]), of the slot-th
-#: action on the node's root path by the acting seat (role 0), the seat
-#: before it (role 1) and the seat before that (role 2): 1 + action * 12 +
-#: m for an action at node m, or row 0 where the seat has no such action.
+#: (node, passive child, aggressive child) -> slot, per position.
+_VALUE_SLOTS = np.array([[_SLOT[n] for n in _ORDER]] + [range(a, 2 * N_DECISIONS, 2) for a in (0, 1)])
+_ACTOR = np.array(DECISION_SEAT)[_ORDER] - 1
+#: (position, role, slot) -> row, in the trainer's probability buffer (row
+#: 0 ones, then probability[action, position]), of the slot-th action on
+#: the node's root path by the acting seat (role 0), the seat before it
+#: (role 1) and the seat before that (role 2): 1 + action * 12 + position
+#: for an action at a node, or row 0 where the seat has no such action.
 _OWN_ACTIONS = np.array([
-    [([1 + a * N_DECISIONS + m for m, a in path if DECISION_SEAT[m] == seat] + [0, 0])[:2]
-     for seat in ((DECISION_SEAT[n] - 1 - role) % 3 + 1 for role in range(3))]
-    for n, path in enumerate(game.PATHS[:N_DECISIONS])])
-#: (k, infoset) -> the infoset's k-th position in the flattened (decision
-#: node, deal) arrays. An infoset's six positions lie on one decision node,
-#: so a stable sort puts them in deal order.
-_INFOSET_ORDER = np.argsort(_NODE_INFOSETS.ravel(), kind="stable").reshape(_N_KEYS, -1).T
-#: (terminal, deal, seat - 1) -> net chips.
-_TERMINAL_PAYOFFS = game.PAYOFFS[:, N_DECISIONS:].transpose(1, 0, 2).astype(np.float64)
+    [([1 + a * N_DECISIONS + _ORDER.index(m) for m, a in game.PATHS[n] if DECISION_SEAT[m] == seat]
+      + [0, 0])[:2] for seat in ((DECISION_SEAT[n] - 1 - role) % 3 + 1 for role in range(3))]
+    for n in _ORDER])
+#: (k, update row, infoset) -> the index of the infoset's k-th update in the
+#: flattened (update row, position, deal) updates. An infoset's six updates
+#: lie on one decision node, so a stable sort puts them in deal order.
+_INFOSET_ORDER = (np.argsort(_NODE_INFOSETS.ravel(), kind="stable").reshape(_N_KEYS, -1).T[:, None]
+                  + np.arange(4)[:, None] * _NODE_INFOSETS.size)
+#: (terminal, seat - 1, deal) -> net chips.
+_TERMINAL_PAYOFFS = game.PAYOFFS[:, N_DECISIONS:].transpose(1, 2, 0).astype(np.float64)
 
 
 class CfrTrainer:
@@ -311,9 +319,10 @@ class CfrTrainer:
     positive, and reaches come from root paths. Full deal enumeration
     leaves nothing to sample, so training is deterministic.
 
-    A sweep backs each node up with one multiply and one add into its
-    `_SLOT` of a child-pair array, then applies each infoset's six
-    updates in deal order (`_INFOSET_ORDER`) as in-place adds.
+    A sweep backs values up one level of `_LEVELS` at a time, deepest
+    first, each one multiply by its block of child pairs and one add. Each
+    infoset's six updates are stacked in deal order under a copy of the
+    sums, and one reduction down the stack adds them row by row.
     """
 
     def __init__(self) -> None:
@@ -323,25 +332,29 @@ class CfrTrainer:
         self._sums = np.zeros((4, _N_KEYS))
         self.cumulative_regret = self._sums[:2].T
         self.cumulative_strategy = self._sums[2:].T
-        # Row 0 ones, then probability[action, decision node, deal].
+        # Row 0 ones, then probability[action, position, deal].
         self._rows = np.ones((1 + 2 * N_DECISIONS, _N_DEALS))
         self._probability = self._rows[1:].reshape(2, N_DECISIONS, _N_DEALS)
-        # slots[decision node, role, slot, deal]: _OWN_ACTIONS' probabilities.
+        # slots[position, role, slot, deal]: _OWN_ACTIONS' probabilities.
         self._slots = np.empty(_OWN_ACTIONS.shape + (_N_DEALS,))
-        # kids[slot, deal, seat - 1]: the expected chips of the node in
+        # kids[slot, seat - 1, deal]: the expected chips of the node in
         # each slot; the terminals' are fixed.
-        self._kids = np.empty((2 * N_DECISIONS + 1, _N_DEALS, 3))
+        self._kids = np.empty((2 * N_DECISIONS + 1, 3, _N_DEALS))
         self._kids[_SLOT[N_DECISIONS:]] = _TERMINAL_PAYOFFS
-        self._product = np.empty((2, _N_DEALS, 3))
-        self._product_halves = tuple(self._product)
-        # Children first: the node's (passive, aggressive) probabilities,
-        # its children's values and its own slot.
-        self._backup = [(self._probability[:, n, :, None], self._kids[2 * n:2 * n + 2],
-                         self._kids[_SLOT[n]]) for n in reversed(range(N_DECISIONS))]
+        # Per level, deepest first, each [action, position, ...]: its probabilities,
+        # its children's values, their products, then its own slots' values.
+        self._backup = []
+        for level in reversed(_LEVELS):
+            first, k, slot = level.start, len(level), _SLOT[_ORDER[level.start]]
+            product = np.empty((2, k, 3, _N_DEALS))
+            children = self._kids[2 * first:2 * (first + k)].reshape(k, 2, 3, _N_DEALS)
+            self._backup.append((self._probability[:, first:first + k, None], children.swapaxes(0, 1),
+                                 product, *product, self._kids[slot:slot + k]))
         # updates[regret passive, regret aggressive, strategy passive,
-        # strategy aggressive][decision node, deal]
+        # strategy aggressive][position, deal]
         self._updates = np.empty((4, N_DECISIONS, _N_DEALS))
-        self._ordered = np.empty((4,) + _INFOSET_ORDER.shape)
+        # Row 0 the sums, then row k + 1 each infoset's k-th updates.
+        self._stack = np.empty((1 + len(_INFOSET_ORDER),) + self._sums.shape)
 
     def current_policy(self) -> np.ndarray:
         """(48, 2) action distribution per infoset via regret matching."""
@@ -360,31 +373,33 @@ class CfrTrainer:
         return self
 
     def _sweep(self) -> None:
+        # The indices are in range, and mode="clip" spares a buffered copy.
         probability = self._probability
-        np.take(self.current_policy().T, _POLICY_INDEX, out=probability)
-        # reach[decision node, role, deal]: the product of the seat's own
-        # (at most two) action probabilities on the node's root path.
+        np.take(self.current_policy().T, _POLICY_INDEX, out=probability, mode="clip")
+        # reach[position, role, deal]: the product of the seat's own (at
+        # most two) action probabilities on the node's root path.
         # 1.0 * p1 * p2 == p1 * p2, so a parents-first walk gives the same.
-        slots = np.take(self._rows, _OWN_ACTIONS, axis=0, out=self._slots)
+        slots = np.take(self._rows, _OWN_ACTIONS, axis=0, out=self._slots, mode="clip")
         reach = slots[:, :, 0] * slots[:, :, 1]
         weighted = _CHANCE_F * reach
         own = weighted[:, 0]
         counterfactual = weighted[:, 1] * reach[:, 2]
 
-        product, halves = self._product, self._product_halves
-        for node_probability, children, value in self._backup:
+        for node_probability, children, product, passive, aggressive, value in self._backup:
             np.multiply(node_probability, children, out=product)
-            np.add(*halves, out=value)
+            np.add(passive, aggressive, out=value)
         # The acting seat's value at each node, then at its two children.
-        values = self._kids[_VALUE_SLOTS, :, _ACTOR]
+        values = self._kids[_VALUE_SLOTS, _ACTOR]
 
-        updates = self._updates
+        updates, stack = self._updates, self._stack
         np.subtract(values[1:], values[0], out=updates[:2])
         np.multiply(updates[:2], counterfactual, out=updates[:2])
         np.multiply(own, probability, out=updates[2:])
-        ordered = np.take(updates.reshape(4, -1), _INFOSET_ORDER, axis=1, out=self._ordered)
-        for terms in ordered.transpose(1, 0, 2):
-            self._sums += terms
+        stack[0] = self._sums
+        np.take(updates.ravel(), _INFOSET_ORDER, out=stack[1:], mode="clip")
+        # Down axis 0 of a C-contiguous stack, the reduction adds row by row;
+        # it starts from -0.0, not add's 0.0, so that a -0.0 sum stays -0.0.
+        np.add.reduce(stack, axis=0, out=self._sums, initial=-0.0)
 
     def average_profile(self) -> StrategyProfile:
         """Normalized average strategy; uniform at never-reached infosets

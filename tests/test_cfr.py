@@ -3,11 +3,12 @@
 The trainer enumerates all 24 deals each iteration and updates all three
 seats simultaneously, so training is deterministic.  Each sweep gathers
 every decision node's reaches from its root path in `game.PATHS`, backs
-values up the compiled tree into each node's slot of one child-pair
-array with one multiply and one add per node, and applies each infoset's
-six updates as ordered in-place adds.  The digest test pins its float
+values up the compiled tree one depth at a time, with one multiply and
+one add per depth into a child-pair array, and applies each infoset's six
+updates in deal order in one reduction.  The digest test pins its float
 results bit for bit; `reference_sweep`, the earlier `np.add.at` sweep,
-checks it from drawn states; and an exact `Fraction` backup of
+checks it from drawn states; `layout_faults` checks the depth layout
+against the tree of `game`; and an exact `Fraction` backup of
 `exact_reference.card_tables` checks the regret it adds.  Convergence
 bounds below were frozen from measured runs with margin.
 """
@@ -83,6 +84,31 @@ def reference_sweep(regret, strategy_sums):
                   own * probability[action])
 
 
+def layout_faults(order, slot, levels, passive, aggressive):
+    """The faults, each naming its level, of the sweep's layout (`order`:
+    position -> decision node; `slot`: node -> slot; `levels`: runs of
+    positions) for the tree with these child tables, decision nodes first."""
+    n_decisions = len(passive)
+    faults = []
+    if sorted(slot) != list(range(2 * n_decisions + 1)) or slot[0] != 2 * n_decisions:
+        faults.append("the slots are not a permutation of the nodes with the root's last")
+    if sorted(order[j] for level in levels for j in level) != list(range(n_decisions)):
+        faults.append("the levels do not hold every decision node exactly once")
+    written = {slot[t] for t in range(n_decisions, 2 * n_decisions + 1)}
+    for d, level in reversed(list(enumerate(levels))):
+        nodes = [order[j] for j in level]
+        reads = [slot[c] for n in nodes for c in (passive[n], aggressive[n])]
+        if reads != list(range(2 * level.start, 2 * level.stop)):
+            faults.append(f"level {d}: its nodes' child pairs are not its block of slots")
+        if not written.issuperset(reads):
+            faults.append(f"level {d}: it reads a slot that no deeper level or terminal wrote")
+        writes = [slot[n] for n in nodes]
+        if writes != list(range(writes[0], writes[0] + len(writes))):
+            faults.append(f"level {d}: its nodes do not fill contiguous slots")
+        written.update(writes)
+    return faults
+
+
 def exact_instant_regret(policy):
     """{infoset index: [passive, aggressive]} exact instantaneous regrets of
     `policy`, a (48, 2) float array: per seat and card, the seat's
@@ -134,6 +160,17 @@ def test_sweep_is_bit_identical_to_pinned_digest():
         "e5d6e3b957e767348f79f9fd3480deb9b5b0071c9eda11cd9fd522f368b243b2"
 
 
+def test_level_layout_fits_the_tree():
+    assert layout_faults(eq._ORDER, eq._SLOT, eq._LEVELS, PASSIVE_CHILD, AGGRESSIVE_CHILD) == []
+    # Exchange the children of KK: the layout no longer fits the tree, and
+    # the fault names the level that holds KK.
+    kk = game.NODE_ID["KK"]
+    passive, aggressive = list(PASSIVE_CHILD), list(AGGRESSIVE_CHILD)
+    passive[kk], aggressive[kk] = aggressive[kk], passive[kk]
+    assert layout_faults(eq._ORDER, eq._SLOT, eq._LEVELS, passive, aggressive) == [
+        "level 2: its nodes' child pairs are not its block of slots"]
+
+
 def test_run_is_incremental():
     one = eq.CfrTrainer()
     one.run(300)
@@ -183,10 +220,19 @@ def test_trained_profile_beats_uniform_start():
 _SUMS = arrays(np.float64, (48, 2), elements=st.one_of(
     st.sampled_from([0.0, -0.0, 1e6, -1e6]), st.floats(-1e6, 1e6)))
 _EDGES = np.resize([[0.0, 0.0], [-1e6, -2.5], [1e6, -0.0], [0.25, 3.0], [-0.0, 7e-9]], (48, 2))
+# Near 2**50 a sum rounds each small update away, though not always their
+# total: only adding them one by one, in deal order, passes.
+_LARGE = np.full((48, 2), 2.0 ** 50)
+# Seat 1 always folds at KKB (situation 2), so KKBC's updates are signed
+# zeros, and a -0.0 sum must stay -0.0.
+_FOLDS_AT_KKB = np.full((48, 2), -0.0)
+_FOLDS_AT_KKB[1:16:4] = [1.0, -0.0]
 
 
 @given(_SUMS, _SUMS)
 @example(_EDGES, np.abs(_EDGES))
+@example(_LARGE, _LARGE / 2)
+@example(_FOLDS_AT_KKB, -np.zeros((48, 2)))
 def test_sweep_matches_reference_sweep(regret, strategy_sums):
     trainer = eq.CfrTrainer()
     trainer.cumulative_regret[...] = regret  # through the (48, 2) views
