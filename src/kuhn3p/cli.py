@@ -186,11 +186,10 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         a, b, c = grouping.pool_indices
         for set_idx, dup in enumerate(grouping.sets):
             for perm_idx, match in enumerate(dup.matches):
-                seating = ",".join(match.agent_names)
                 log = harness.match_log(match, header=[
                     f"grouping: {a}-{b}-{c} ({','.join(grouping.labels)})",
                     f"set: {set_idx}",
-                    f"permutation: {perm_idx} seating: {seating}",
+                    f"permutation: {perm_idx} seating: {','.join(match.agent_names)}",
                     f"master_seed: {config.master_seed}",
                 ])
                 path = os.path.join(args.out, f"match_g{a}-{b}-{c}_s{set_idx}_p{perm_idx}.log")
@@ -226,8 +225,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except harness.ReplayError as exc:
         print(f"replay mismatch: {exc}", file=sys.stderr)
         return 1
-    totals = record.seat_totals
-    print(f"replayed {len(record.hands)} hands; per-seat totals {totals[0]} {totals[1]} {totals[2]}")
+    print(f"replayed {len(record.hands)} hands; per-seat totals", *record.seat_totals)
     return 0
 
 

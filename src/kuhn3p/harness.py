@@ -141,7 +141,7 @@ def _deal_indices(deals: Sequence[int]) -> np.ndarray:
 def run_match(agents: Sequence[Agent], deals: Sequence[int],
               seed: int | np.random.SeedSequence) -> MatchRecord:
     """Play one match: agents[s-1] occupies seat s for every hand, one hand
-    per deal index (into game.DEALS) of deals.
+    per deal index (into game.DEALS) of deals, its seat totals by _totals.
 
     Decision uniforms are drawn up front as an array indexed by
     (hand, seat, nth decision of that seat), making every decision's
@@ -173,8 +173,13 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     node = (game.TERMINAL_OF_DECISIONS[decisions] if all(fixed)
             else _play_each(agents, deals, uniforms, fixed, decisions))
     hands = deals * game.N_TERMINALS + node - N_DECISIONS
-    totals = tuple(int(total) for total in game.OUTCOME_PAYOFFS[hands].sum(axis=0))
-    return MatchRecord(tuple(agent.name for agent in agents), totals, hands.tolist())
+    return MatchRecord(tuple(agent.name for agent in agents), _totals(hands), hands.tolist())
+
+
+def _totals(hands: Sequence[int]) -> tuple[int, int, int]:
+    """Each seat's net chips over hands: each outcome's count times its payoffs."""
+    counts = np.bincount(np.asarray(hands, dtype=np.intp), minlength=len(game.OUTCOMES))
+    return tuple((counts @ game.OUTCOME_PAYOFFS).tolist())
 
 
 def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray,
@@ -420,25 +425,42 @@ def report_json(report: TournamentReport) -> str:
 
 LOG_COLUMNS = ("hand", "card1", "card2", "card3", "actions", "chips1", "chips2", "chips3")
 
-#: Each outcome's log row after the hand index: cards, actions, chips.
-_ROW_TAILS = [f"{','.join(deal)},{history},{chips[0]},{chips[1]},{chips[2]}"
-              for (deal, history), chips in zip(game.OUTCOMES, game.OUTCOME_PAYOFFS.tolist())]
-_TAIL_OUTCOME = {tail: o for o, tail in enumerate(_ROW_TAILS)}
+#: Each outcome's log row after the hand index, ",cards,actions,chips\n"; other keys miss.
+_ROW_ENDS = dict(enumerate(f",{','.join(deal)},{history},{a},{b},{c}\n" for (deal, history), (a, b, c)
+                           in zip(game.OUTCOMES, game.OUTCOME_PAYOFFS.tolist())))
+_TAIL_OUTCOME = {end[1:-1]: o for o, end in _ROW_ENDS.items()}
+_LABELS: list[str] = []  # hand k's label, str(k), up to the longest log yet written or read
+
+
+def _labels(n: int) -> list[str]:
+    """The label table, first replaced (never extended in place) if shorter than n."""
+    global _LABELS
+    if len(labels := _LABELS) < n:
+        labels = _LABELS = labels + list(map(str, range(len(labels), n)))
+    return labels
 
 
 def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     """Serialize a match to text: comment header, then one CSV row per hand
-    (index, per-seat cards, action string, per-seat net chips), each
-    hand's row text looked up from its outcome.  Raises ValueError naming a
-    header entry with a line break, which replay_match_log could not read."""
+    (index, per-seat cards, action string, per-seat net chips), joined
+    from hand k's label and its outcome's row end.  Raises ValueError
+    naming what replay_match_log could not read (a header entry with a
+    line break, an agent name that is empty or holds ',' or a line break)
+    and the first hand whose outcome is not an index of game.OUTCOMES."""
     lines = []
     for line in header:
         if line.splitlines() not in ([], [line]):
             raise ValueError(f"header entry {line!r} contains a line break")
         lines.append(f"# {line}\n")
+    if any("," in name or name.splitlines() != [name] for name in record.agent_names):
+        raise ValueError(f"agent names {record.agent_names!r}: one is empty or has ',' or a line break")
     lines.append(f"# seats: {','.join(record.agent_names)}\n{','.join(LOG_COLUMNS)}\n")
-    lines.extend([f"{i},{_ROW_TAILS[o]}\n" for i, o in enumerate(record.hands)])
-    return "".join(lines)
+    rows = zip(_labels(len(record.hands)), map(_ROW_ENDS.__getitem__, record.hands))
+    try:
+        return "".join(itertools.chain(lines, itertools.chain.from_iterable(rows)))
+    except KeyError:
+        k, o = next((k, o) for k, o in enumerate(record.hands) if o not in _ROW_ENDS)
+        raise ValueError(f"hand {k}: outcome {o!r} is not a game.OUTCOMES index") from None
 
 
 class ReplayError(ValueError):
@@ -470,9 +492,10 @@ def _row_error(k: int, row: str) -> ReplayError:
 
 def replay_match_log(text: str) -> MatchRecord:
     """The MatchRecord that match_log wrote text from: names from the
-    '# seats:' line, totals and outcomes from row k of each hand k, looked
-    up whole among the 312 row texts.  A log must hold exactly the lines
-    match_log writes, and no line is read twice.
+    '# seats:' line, outcomes from row k of each hand k (its hand field
+    match_log's label for k, the rest looked up whole among the 312 row
+    texts) and their _totals.  A log must hold exactly the lines match_log
+    writes, and no line is read twice.
 
     Raises ReplayError if the last comment is not a '# seats:' line naming
     three agents or the next line is not the column header, and otherwise
@@ -491,15 +514,14 @@ def replay_match_log(text: str) -> MatchRecord:
         raise ReplayError("log contains no hands")
     if lines[h] != ",".join(LOG_COLUMNS):
         raise ReplayError(f"unrecognized log header: {lines[h].split(',')!r}")
-    outcomes = []
-    for k, row in enumerate(itertools.islice(lines, h + 1, None)):
+    outcomes = []  # while row k is read, k == len(outcomes)
+    for label, row in zip(_labels(len(lines) - h - 1), itertools.islice(lines, h + 1, None)):
         hand, _, tail = row.partition(",")
         o = _TAIL_OUTCOME.get(tail)
-        if o is None or hand != str(k):
-            raise _row_error(k, row)
+        if o is None or hand != label:
+            raise _row_error(len(outcomes), row)
         outcomes.append(o)
-    totals = tuple(int(total) for total in game.OUTCOME_PAYOFFS[outcomes].sum(axis=0))
-    return MatchRecord(names, totals, outcomes)
+    return MatchRecord(names, _totals(outcomes), outcomes)
 
 
 # --- Variance study -------------------------------------------------------

@@ -91,6 +91,18 @@ def test_batch_path_equals_scalar_reference(pool, seating, hands, seed):
     assert harness.replay_match_log(log) == batch
 
 
+@given(hands=st.lists(st.integers(0, len(game.OUTCOMES) - 1), max_size=400))
+@example(hands=list(range(len(game.OUTCOMES))))
+def test_log_of_any_outcomes_equals_reference_and_replays(hands):
+    totals = tuple(sum(game.terminal_payoffs(*game.OUTCOMES[o])[s] for o in hands) for s in range(3))
+    record = harness.MatchRecord(("a", "b", "c"), totals, hands)
+    log = harness.match_log(record, header=["set 0"])
+    assert log == "# set 0\n" + reference_log(record)
+    replayed = harness.replay_match_log(log)
+    assert replayed == record
+    assert replayed.seat_totals == totals
+
+
 def test_plain_profile_lineup_never_calls_act(monkeypatch):
     def refuse(self, obs, rng):
         raise AssertionError("the batch path asked an agent to act")

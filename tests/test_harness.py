@@ -319,6 +319,35 @@ def test_match_log_rejects_a_header_line_break(entry):
     assert harness.replay_match_log(harness.match_log(record, header=["", "set 0"])) == record
 
 
+@pytest.mark.parametrize("outcome", [-1, len(game.OUTCOMES)])
+def test_match_log_rejects_an_outcome_outside_the_table(outcome):
+    # -1 would index the last row text of a list; the row table misses it.
+    record = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [0, outcome])
+    with pytest.raises(ValueError, match=f"^hand 1: outcome {outcome} is not a game.OUTCOMES index$"):
+        harness.match_log(record)
+
+
+@pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a", "b\nc", "d"), ("a", "b", "c\r"),
+                                   ("a", "b\u2028", "c"), ("a", "", "c")])
+def test_match_log_rejects_names_replay_could_not_read(names):
+    record = harness.MatchRecord(names, (0, 0, 0), [0])
+    with pytest.raises(ValueError, match=r"^agent names \("):
+        harness.match_log(record)
+
+
+def test_label_table_grows_to_every_row(monkeypatch):
+    # Reading a table shorter than the match would drop rows from the log
+    # and let replay check only a prefix.
+    record = harness.run_match(lineup(TRIPLE), harness.deal_sequence(21, (0,), 5), 21)
+    monkeypatch.setattr(harness, "_LABELS", ["0", "1"])
+    text = harness.match_log(record)
+    assert [row.split(",")[0] for row in text.splitlines()[2:]] == ["0", "1", "2", "3", "4"]
+    monkeypatch.setattr(harness, "_LABELS", ["0", "1"])
+    assert harness.replay_match_log(text) == record
+    empty = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [])
+    assert harness.replay_match_log(harness.match_log(empty)) == empty
+
+
 def test_replay_detects_tampered_chips():
     cards = harness.deal_sequence(21, (0,), 5)
     record = harness.run_match(lineup(TRIPLE), cards, 21)
