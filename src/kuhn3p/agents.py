@@ -47,7 +47,8 @@ class Agent:
     def observe_result(self, revealed: Mapping[Seat, Card],
                        history: ActionHistory,
                        payoffs: tuple[int, int, int]) -> None:
-        """Called once per completed hand; revealed holds showdown cards only."""
+        """Called once per completed hand; revealed holds showdown cards
+        only.  It is read-only, and one object may serve several hands."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -102,10 +103,13 @@ def _terminal_means(seat: Seat, card: Card) -> list[float]:
 _TERMINAL_MEANS = {(seat, card): _terminal_means(seat, card)
                    for seat in game.SEATS for card in game.CARDS}
 #: Per decision node: the decision nodes below it, in descending id order,
-#: so that a backup over them finishes each node's children before it.
+#: so that a backup over them finishes each node's children before it, and
+#: those as FrequencyModeler.act's steps: (node, passive child, aggressive child, acting seat).
 _DESCENDANTS = tuple(tuple(m for m in reversed(range(N_DECISIONS))
                            if any(a == n for a, _ in game.PATHS[m]))
                      for n in range(N_DECISIONS))
+_BACKUP_PLANS = tuple(tuple((m, PASSIVE_CHILD[m], AGGRESSIVE_CHILD[m], DECISION_SEAT[m]) for m in below)
+                      for below in _DESCENDANTS)
 
 
 class FrequencyModeler(Agent):
@@ -136,18 +140,18 @@ class FrequencyModeler(Agent):
         seat = obs.seat
         n = game.NODE_ID[obs.history]
         passive, aggressive = DECISION_ACTIONS[n]
-        estimate = self.estimate
-        # One backup over n's subtree in reverse node order, so each node's
-        # children are final before it reads them: own nodes take the better
-        # child (ties break passive, matching the best-response convention),
-        # opponent nodes mix the children by the modeled frequency.
+        counts, s = self._counts, self.smoothing
+        # One backup over n's subtree in reverse node order, so each node's children are
+        # final before it reads them: own nodes take the better child (ties break passive,
+        # as best_response does), opponent nodes mix them by estimate(m), spelled out inline.
         value = _TERMINAL_MEANS[seat, obs.private_card][:]
-        for m in _DESCENDANTS[n]:
-            v_passive, v_aggressive = value[PASSIVE_CHILD[m]], value[AGGRESSIVE_CHILD[m]]
-            if DECISION_SEAT[m] == seat:
+        for m, passive_child, aggressive_child, owner in _BACKUP_PLANS[n]:
+            v_passive, v_aggressive = value[passive_child], value[aggressive_child]
+            if owner == seat:
                 value[m] = v_aggressive if v_aggressive > v_passive else v_passive
             else:
-                f = estimate(m)
+                times_passive, times_aggressive = counts[m]
+                f = 0.5 * ((times_aggressive + s) / ((times_passive + times_aggressive) * 0.5 + s))
                 value[m] = (1.0 - f) * v_passive + f * v_aggressive
         return aggressive if value[AGGRESSIVE_CHILD[n]] > value[PASSIVE_CHILD[n]] else passive
 

@@ -24,6 +24,7 @@ import json
 import math
 import statistics
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -186,36 +187,44 @@ def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray,
                fixed: Sequence[int], decisions: np.ndarray) -> np.ndarray:
     """The per-decision match loop, returning each hand's terminal node
     id: at a node n with fixed[n] set the hand follows that bit of its
-    decisions (run_match); at any other node the acting agent is asked."""
+    decisions (run_match); at any other node the acting agent is asked.
+    Hands share the match's one Observation per (deal, node) and one
+    (revealed, history, payoffs) view per outcome, revealed read-only."""
     observers = [a for a in agents if type(a).observe_result is not Agent.observe_result]
     rng = _SlotRng()
+    steps = [(bit, PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n], seat - 1, 2 * seat - 2 + DECISION_SLOT[n],
+              NODES[n], *DECISION_ACTIONS[n]) for n, (bit, seat) in enumerate(zip(fixed, DECISION_SEAT))]
+    observations = [[None if bit else Observation(seat, deal[seat - 1], h)
+                     for bit, seat, h in zip(fixed, DECISION_SEAT, NODES)] for deal in game.DEALS]
+    views = [None] * len(game.OUTCOMES)  # each outcome's, built when a hand first ends there
     terminals = []
-    hands = zip((game.DEALS[d] for d in deals.tolist()), decisions.tolist(), uniforms)
-    for index, (deal, bits, row) in enumerate(hands):
+    hands = zip(deals.tolist(), decisions.tolist(), uniforms.reshape(len(deals), 6))
+    for index, (d, bits, row) in enumerate(hands):
         n = 0
         while n < N_DECISIONS:
-            if fixed[n]:
-                n = AGGRESSIVE_CHILD[n] if bits & fixed[n] else PASSIVE_CHILD[n]
+            bit, passive_child, aggressive_child, i, slot, h, passive, aggressive = steps[n]
+            if bit:
+                n = aggressive_child if bits & bit else passive_child
                 continue
-            i = DECISION_SEAT[n] - 1
-            rng.value = row[i, DECISION_SLOT[n]]
-            h = NODES[n]
-            action = agents[i].act(Observation(i + 1, deal[i], h), rng)
-            passive, aggressive = DECISION_ACTIONS[n]
+            rng.value = row[slot]
+            action = agents[i].act(observations[d][n], rng)
             if action == passive:
-                n = PASSIVE_CHILD[n]
+                n = passive_child
             elif action == aggressive:
-                n = AGGRESSIVE_CHILD[n]
+                n = aggressive_child
             else:
                 raise RuntimeError(
                     f"agent {agents[i].name!r} returned illegal action {action!r} "
                     f"at history {h!r} in hand {index}")
         terminals.append(n)
         if observers:
-            h = NODES[n]
-            revealed = {s: deal[s - 1] for s in game.SHOWDOWN_SEATS[n - N_DECISIONS]}
+            view = views[o := d * game.N_TERMINALS + n - N_DECISIONS]
+            if view is None:
+                deal, h = game.OUTCOMES[o]
+                revealed = MappingProxyType({s: deal[s - 1] for s in game.SHOWDOWN_SEATS[n - N_DECISIONS]})
+                view = views[o] = revealed, h, game.PAYOFF_TABLE[deal][h]
             for agent in observers:
-                agent.observe_result(revealed, h, game.PAYOFF_TABLE[deal][h])
+                agent.observe_result(*view)
     return np.array(terminals, dtype=np.intp)
 
 
@@ -429,14 +438,16 @@ LOG_COLUMNS = ("hand", "card1", "card2", "card3", "actions", "chips1", "chips2",
 _ROW_ENDS = dict(enumerate(f",{','.join(deal)},{history},{a},{b},{c}\n" for (deal, history), (a, b, c)
                            in zip(game.OUTCOMES, game.OUTCOME_PAYOFFS.tolist())))
 _TAIL_OUTCOME = {end[1:-1]: o for o, end in _ROW_ENDS.items()}
-_LABELS: list[str] = []  # hand k's label, str(k), up to the longest log yet written or read
+_LABELS: list[str] = []  # hand k's label, str(k), for the longest log yet of <= MAX_HANDS_PER_MATCH hands
 
 
 def _labels(n: int) -> list[str]:
     """The label table, first replaced (never extended in place) if shorter than n."""
     global _LABELS
     if len(labels := _LABELS) < n:
-        labels = _LABELS = labels + list(map(str, range(len(labels), n)))
+        labels = labels + list(map(str, range(len(labels), n)))
+        if n <= MAX_HANDS_PER_MATCH:  # a longer log's labels are its own
+            _LABELS = labels
     return labels
 
 

@@ -217,6 +217,12 @@ def string_expectimax(modeler, deals, seat, h):
        observed=st.lists(st.sampled_from(game.TERMINAL_HISTORIES), max_size=30))
 @example(smoothing=0.5,
          observed=[h for i, h in enumerate(game.TERMINAL_HISTORIES) for _ in range(i)])
+# act spells estimate out inline: check it at the largest smoothing, where only estimate's
+# halved denominator stays finite, and at the smallest.
+@example(smoothing=sys.float_info.max,
+         observed=[h for i, h in enumerate(game.TERMINAL_HISTORIES) for _ in range(i)])
+@example(smoothing=5e-324,
+         observed=[h for i, h in enumerate(game.TERMINAL_HISTORIES) for _ in range(i)])
 def test_modeler_act_matches_string_expectimax(smoothing, observed):
     modeler = agents.FrequencyModeler(smoothing=smoothing)
     for history in observed:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kuhn3p import game, harness, strategy
-from kuhn3p.agents import Agent, AgentSpec, FrequencyModeler, ProfileAgent, make_agent
+from kuhn3p.agents import Agent, AgentSpec, FrequencyModeler, Observation, ProfileAgent, make_agent
 from kuhn3p.harness import MatchConfig
 
 
@@ -195,6 +195,53 @@ def test_observers_see_exactly_what_the_rules_reveal(seats, hands, seed):
     assert pool[0].results == expected
 
 
+class _RecordingAgent(Agent):
+    """A plain Agent, asked at every decision, that takes the aggressive
+    action below a uniform of one half.  It keeps every Observation and
+    result it is shown, and tries to write to each revealed mapping."""
+
+    def __init__(self):
+        self.observations, self.results = [], []
+
+    def act(self, obs, rng):
+        self.observations.append(obs)
+        passive, aggressive = game.action_pair(obs.history)
+        return aggressive if rng.uniform() < 0.5 else passive
+
+    def observe_result(self, revealed, history, payoffs):
+        with pytest.raises(TypeError):
+            revealed[1] = "J"
+        self.results.append((revealed, history, payoffs))
+
+
+@given(seats=st.permutations(range(3)), modelers=st.integers(1, 2),
+       profile=st.sampled_from([strategy.nash_profile("LB"), strategy.constant_profile(0.5)]),
+       hands=st.integers(0, 200), seed=st.integers(0, 2 ** 64 - 1))
+def test_agents_see_observations_and_read_only_results_from_the_string_api(
+        seats, modelers, profile, hands, seed):
+    # One or two modelers, the recorder, and with one modeler a fixed seat.
+    agents = [None] * 3
+    for seat in seats[:modelers]:
+        agents[seat] = FrequencyModeler()
+    recorder = agents[seats[modelers]] = _RecordingAgent()
+    if modelers == 1:
+        agents[seats[2]] = ProfileAgent(profile, "fixed")
+    record = harness.run_match(agents, harness.deal_sequence(seed, (0,), hands), seed)
+    seat = seats[modelers] + 1
+    observations, results = [], []
+    for o in record.hands:
+        d, t = divmod(o, 13)
+        deal, h = game.DEALS[d], game.TERMINAL_HISTORIES[t]
+        observations += [Observation(seat, deal[seat - 1], h[:j]) for j in range(len(h))
+                         if game.acting_seat(h[:j]) == seat]
+        results.append(({s: deal[s - 1] for s in game.showdown_seats(h)}, h,
+                         game.terminal_payoffs(deal, h)))
+    assert recorder.observations == observations
+    assert all(type(obs) is Observation for obs in recorder.observations)
+    # Every view, those of hands after a refused write included, still reads as the rules say.
+    assert recorder.results == results
+
+
 def test_duplicate_set_shares_cards_and_rotates_seats():
     config = small_config()
     ds = harness.run_duplicate_set(lineup(TRIPLE), config, (0,))
@@ -346,6 +393,19 @@ def test_label_table_grows_to_every_row(monkeypatch):
     assert harness.replay_match_log(text) == record
     empty = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [])
     assert harness.replay_match_log(harness.match_log(empty)) == empty
+
+
+def test_label_table_stays_within_the_match_cap(monkeypatch):
+    # A log longer than any match builds its labels for itself alone, so
+    # a long or hostile log leaves no labels behind.
+    monkeypatch.setattr(harness, "MAX_HANDS_PER_MATCH", 3)
+    monkeypatch.setattr(harness, "_LABELS", [])
+    for hands, kept in (2, 2), (5, 2), (3, 3), (4, 3):
+        record = harness.run_match(lineup(TRIPLE), harness.deal_sequence(22, (0,), hands), 22)
+        text = harness.match_log(record)
+        assert [row.split(",")[0] for row in text.splitlines()[2:]] == [str(k) for k in range(hands)]
+        assert harness.replay_match_log(text) == record
+        assert len(harness._LABELS) == kept
 
 
 def test_replay_detects_tampered_chips():
