@@ -49,6 +49,9 @@ _DOMAIN_STUDY_INDEP_DECISIONS = 5
 # A match holds all its hands at once, about 130 bytes each.
 MAX_HANDS_PER_MATCH = 10 ** 6
 
+# Row n: node n's infoset index for each of the 24 deals, contiguous for take.
+_NODE_INFOSETS = np.ascontiguousarray(game.INFOSET_INDEX.T)
+
 
 @dataclass(frozen=True)
 class MatchConfig:
@@ -151,7 +154,8 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
 
     Each plain ProfileAgent (exact type) is decided for every hand up
     front by ProfileAgent.act's comparison on the same uniforms, into bit
-    n of the hand's decisions at each node n it acts at.  Three plain
+    n of the hand's decisions at each node n it acts at (its probability
+    taken by node from the agent's table, then by deal).  Three plain
     ProfileAgents end each hand at game.TERMINAL_OF_DECISIONS; any other
     lineup takes the per-decision loop (`_play_each`), which asks every
     other agent, ProfileAgent subclasses included.  Raises ValueError,
@@ -168,8 +172,8 @@ def run_match(agents: Sequence[Agent], deals: Sequence[int],
     for n, seat in enumerate(DECISION_SEAT):
         fixed.append(1 << n if type(agents[seat - 1]) is ProfileAgent else 0)
         if fixed[n]:
-            decisions |= np.left_shift(uniforms[:, seat - 1, DECISION_SLOT[n]]
-                                       < agents[seat - 1].probabilities[game.INFOSET_INDEX[deals, n]],
+            thresholds = agents[seat - 1].probabilities.take(_NODE_INFOSETS[n]).take(deals)
+            decisions |= np.left_shift(uniforms[:, seat - 1, DECISION_SLOT[n]] < thresholds,
                                        n, dtype=np.intp)
     node = (game.TERMINAL_OF_DECISIONS[decisions] if all(fixed)
             else _play_each(agents, deals, uniforms, fixed, decisions))
@@ -453,8 +457,9 @@ def _labels(n: int) -> list[str]:
 
 def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     """Serialize a match to text: comment header, then one CSV row per hand
-    (index, per-seat cards, action string, per-seat net chips), joined
-    from hand k's label and its outcome's row end.  Raises ValueError
+    (index, per-seat cards, action string, per-seat net chips).  Hand k's
+    label and its outcome's row end fill two slots of one list after the
+    header lines, which is joined once.  Raises ValueError
     naming what replay_match_log could not read (a header entry with a
     line break, an agent name that is empty or holds ',' or a line break)
     and the first hand whose outcome is not an index of game.OUTCOMES."""
@@ -466,12 +471,15 @@ def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     if any("," in name or name.splitlines() != [name] for name in record.agent_names):
         raise ValueError(f"agent names {record.agent_names!r}: one is empty or has ',' or a line break")
     lines.append(f"# seats: {','.join(record.agent_names)}\n{','.join(LOG_COLUMNS)}\n")
-    rows = zip(_labels(len(record.hands)), map(_ROW_ENDS.__getitem__, record.hands))
+    start, n = len(lines), len(record.hands)
+    lines += [""] * (2 * n)  # hand k's label, then its row end
+    lines[start::2] = _labels(n)[:n]
     try:
-        return "".join(itertools.chain(lines, itertools.chain.from_iterable(rows)))
+        lines[start + 1::2] = map(_ROW_ENDS.__getitem__, record.hands)
     except KeyError:
         k, o = next((k, o) for k, o in enumerate(record.hands) if o not in _ROW_ENDS)
         raise ValueError(f"hand {k}: outcome {o!r} is not a game.OUTCOMES index") from None
+    return "".join(lines)
 
 
 class ReplayError(ValueError):

@@ -17,6 +17,8 @@ import csv
 import io
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from kuhn3p import game, harness, strategy
@@ -91,13 +93,19 @@ def test_batch_path_equals_scalar_reference(pool, seating, hands, seed):
     assert harness.replay_match_log(log) == batch
 
 
-@given(hands=st.lists(st.integers(0, len(game.OUTCOMES) - 1), max_size=400))
-@example(hands=list(range(len(game.OUTCOMES))))
-def test_log_of_any_outcomes_equals_reference_and_replays(hands):
+# A header entry match_log accepts: one line, or none.
+header_entries = st.text().filter(lambda line: line.splitlines() in ([], [line]))
+
+
+@given(hands=st.lists(st.integers(0, len(game.OUTCOMES) - 1), max_size=400),
+       header=st.lists(header_entries, max_size=4))
+@example(hands=list(range(len(game.OUTCOMES))), header=["set 0"])
+def test_log_of_any_outcomes_equals_reference_and_replays(hands, header):
+    # The rows start after a varying number of header lines.
     totals = tuple(sum(game.terminal_payoffs(*game.OUTCOMES[o])[s] for o in hands) for s in range(3))
     record = harness.MatchRecord(("a", "b", "c"), totals, hands)
-    log = harness.match_log(record, header=["set 0"])
-    assert log == "# set 0\n" + reference_log(record)
+    log = harness.match_log(record, header=header)
+    assert log == "".join(f"# {line}\n" for line in header) + reference_log(record)
     replayed = harness.replay_match_log(log)
     assert replayed == record
     assert replayed.seat_totals == totals
@@ -145,6 +153,26 @@ def test_modeler_lineup_equals_scalar_reference(pool, seats, modelers, smoothing
     assert mixed == scalar
     assert [o // 13 for o in mixed.hands] == cards.tolist()
     assert harness.match_log(mixed) == harness.match_log(scalar) == reference_log(mixed)
+
+
+@pytest.mark.parametrize("modelers", [0, 1])
+def test_every_form_of_deals_plays_the_same_match(modelers):
+    # Each form reaches the threshold takes as the index array it becomes.
+    pool = (strategy.nash_profile("LB"), strategy.nash_profile("UB"))
+    cards = harness.deal_sequence(4, (0,), 300)
+    doubled = np.repeat(cards, 2)
+    assert not doubled[::2].flags.c_contiguous
+
+    def play(deals):
+        agents = (modeler_lineup(ProfileAgent, pool, (1, 0, 2), 1.0) if modelers
+                  else lineup(ProfileAgent, pool, (0, 1, 0)))
+        return harness.run_match(agents, deals, 4)
+
+    expected = play(cards)
+    assert [o // 13 for o in expected.hands] == cards.tolist()
+    for deals in (cards.tolist(), cards.astype(np.int64), cards.astype(np.int32),
+                  cards.astype(np.uint8), doubled[::2]):
+        assert play(deals) == expected
 
 
 def test_modeler_lineup_never_asks_plain_profile_agents(monkeypatch):

@@ -372,6 +372,10 @@ def test_match_log_rejects_an_outcome_outside_the_table(outcome):
     record = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [0, outcome])
     with pytest.raises(ValueError, match=f"^hand 1: outcome {outcome} is not a game.OUTCOMES index$"):
         harness.match_log(record)
+    # The last hand of a full-size match, its rows after a 4-line header.
+    record = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [7] * 2999 + [outcome])
+    with pytest.raises(ValueError, match=f"^hand 2999: outcome {outcome} is not a game.OUTCOMES index$"):
+        harness.match_log(record, header=["grouping 0-1-2", "set 0", "seating 0", ""])
 
 
 @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a", "b\nc", "d"), ("a", "b", "c\r"),
