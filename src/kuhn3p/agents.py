@@ -92,24 +92,32 @@ def finite_positive(value: object, name: str) -> float:
     return float(value)
 
 
-def _terminal_means(seat: Seat, card: Card) -> list[float]:
-    """Per node, seat's mean payoff over the six deals in which it holds
-    card (0 at decision nodes).  Sums of six small integers are exact in
-    float."""
+def _count_free_values(seat: Seat, card: Card) -> list[float]:
+    """Per node, what FrequencyModeler.act reads but no count moves: seat's mean payoff
+    over the six deals where it holds card at each terminal (exact in float), and the
+    better child's (ties passive) at each node of _FOLDED[seat]; 0 at other nodes."""
     deals = [d for d, cards in enumerate(game.DEALS) if cards[seat - 1] == card]
-    return (game.PAYOFFS[deals, :, seat - 1].sum(axis=0) / len(deals)).tolist()
+    value = (game.PAYOFFS[deals, :, seat - 1].sum(axis=0) / len(deals)).tolist()
+    for m in _FOLDED[seat]:
+        v_passive, v_aggressive = value[PASSIVE_CHILD[m]], value[AGGRESSIVE_CHILD[m]]
+        value[m] = v_aggressive if v_aggressive > v_passive else v_passive
+    return value
 
 
-_TERMINAL_MEANS = {(seat, card): _terminal_means(seat, card)
-                   for seat in game.SEATS for card in game.CARDS}
 #: Per decision node: the decision nodes below it, in descending id order,
-#: so that a backup over them finishes each node's children before it, and
-#: those as FrequencyModeler.act's steps: (node, passive child, aggressive child, acting seat).
+#: so that a backup over them finishes each node's children before it.
 _DESCENDANTS = tuple(tuple(m for m in reversed(range(N_DECISIONS))
                            if any(a == n for a, _ in game.PATHS[m]))
                      for n in range(N_DECISIONS))
-_BACKUP_PLANS = tuple(tuple((m, PASSIVE_CHILD[m], AGGRESSIVE_CHILD[m], DECISION_SEAT[m]) for m in below)
-                      for below in _DESCENDANTS)
+#: Per seat: its own decision nodes whose two children are both terminals.
+_FOLDED = {seat: [m for m in range(N_DECISIONS) if DECISION_SEAT[m] == seat and not _DESCENDANTS[m]]
+           for seat in game.SEATS}
+_COUNT_FREE = {(seat, card): _count_free_values(seat, card) for seat in game.SEATS for card in game.CARDS}
+#: _PLANS[seat][n]: act's steps (node, passive child, aggressive child, own) below n, less _FOLDED[seat].
+_PLANS = {seat: tuple(tuple((m, PASSIVE_CHILD[m], AGGRESSIVE_CHILD[m], DECISION_SEAT[m] == seat)
+                            for m in below if m not in _FOLDED[seat]) for below in _DESCENDANTS)
+          for seat in game.SEATS}
+_HISTORY_PATHS = dict(zip(game.NODES, game.PATHS))  # history -> its root path, as in game.PATHS
 
 
 class FrequencyModeler(Agent):
@@ -120,7 +128,8 @@ class FrequencyModeler(Agent):
     The model is card-independent, so observed opponent actions carry no
     information about hidden cards and the posterior over the unseen deals
     stays uniform: act backs the seat's mean terminal payoffs up the tree,
-    weighting each opponent branch by its modeled frequency.
+    weighting each opponent branch by its modeled frequency.  Values no count
+    moves come folded in (_COUNT_FREE); act backs up the rest (_PLANS).
     """
 
     name = "FrequencyModeler"
@@ -129,6 +138,8 @@ class FrequencyModeler(Agent):
         self.smoothing = finite_positive(smoothing, "smoothing")
         #: Per decision node: [passive, aggressive] counts of the actions seen there.
         self._counts = [[0, 0] for _ in range(N_DECISIONS)]
+        self._asks: dict[Observation, tuple] = {}  # obs -> (plan, value list, its children, its actions)
+        self._values: dict[tuple[Seat, Card], list[float]] = {}  # the value list per (seat, card)
 
     def estimate(self, n: int) -> float:
         """Smoothed aggressive frequency at node n, over a halved denominator that cannot overflow."""
@@ -137,23 +148,27 @@ class FrequencyModeler(Agent):
         return 0.5 * ((aggressive + s) / ((passive + aggressive) * 0.5 + s))
 
     def act(self, obs: Observation, rng) -> Action:
-        seat = obs.seat
-        n = game.NODE_ID[obs.history]
-        passive, aggressive = DECISION_ACTIONS[n]
+        ask = self._asks.get(obs)
+        if ask is None:  # obs's entry, made on first sight
+            seat, card, history = obs
+            n = game.NODE_ID[history]
+            value = self._values.setdefault((seat, card), _COUNT_FREE[seat, card][:])
+            ask = self._asks[obs] = (_PLANS[seat][n], value, PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n],
+                                     *DECISION_ACTIONS[n])
+        plan, value, passive_child, aggressive_child, passive, aggressive = ask
         counts, s = self._counts, self.smoothing
-        # One backup over n's subtree in reverse node order, so each node's children are
+        # One backup over the plan in reverse node order, so each node's children are
         # final before it reads them: own nodes take the better child (ties break passive,
         # as best_response does), opponent nodes mix them by estimate(m), spelled out inline.
-        value = _TERMINAL_MEANS[seat, obs.private_card][:]
-        for m, passive_child, aggressive_child, owner in _BACKUP_PLANS[n]:
-            v_passive, v_aggressive = value[passive_child], value[aggressive_child]
-            if owner == seat:
+        for m, p, a, own in plan:
+            v_passive, v_aggressive = value[p], value[a]
+            if own:
                 value[m] = v_aggressive if v_aggressive > v_passive else v_passive
             else:
                 times_passive, times_aggressive = counts[m]
                 f = 0.5 * ((times_aggressive + s) / ((times_passive + times_aggressive) * 0.5 + s))
                 value[m] = (1.0 - f) * v_passive + f * v_aggressive
-        return aggressive if value[AGGRESSIVE_CHILD[n]] > value[PASSIVE_CHILD[n]] else passive
+        return aggressive if value[aggressive_child] > value[passive_child] else passive
 
     def observe_result(self, revealed: Mapping[Seat, Card],
                        history: ActionHistory,
@@ -163,8 +178,9 @@ class FrequencyModeler(Agent):
         # acting seat identifies one opponent, and act never reads the
         # counts at the modeler's own nodes.  Mucked cards are never passed
         # in, and the card-independent model has no use for the revealed ones.
-        for n, action in game.PATHS[game.NODE_ID[history]]:
-            self._counts[n][action] += 1
+        counts = self._counts
+        for n, action in _HISTORY_PATHS[history]:
+            counts[n][action] += 1
 
 
 @dataclass(frozen=True)

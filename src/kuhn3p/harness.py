@@ -189,37 +189,42 @@ def _totals(hands: Sequence[int]) -> tuple[int, int, int]:
 
 def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray,
                fixed: Sequence[int], decisions: np.ndarray) -> np.ndarray:
-    """The per-decision match loop, returning each hand's terminal node
-    id: at a node n with fixed[n] set the hand follows that bit of its
-    decisions (run_match); at any other node the acting agent is asked.
-    Hands share the match's one Observation per (deal, node) and one
-    (revealed, history, payoffs) view per outcome, revealed read-only."""
-    observers = [a for a in agents if type(a).observe_result is not Agent.observe_result]
+    """The per-decision match loop, returning each hand's terminal node id.
+    A hand goes from one node n with fixed[n] unset, where an agent is asked,
+    to the next: stops[c] holds the first such node or terminal at or below c,
+    following the hand's decisions (run_match).  Hands share the match's one
+    Observation per (deal, node), one uniform list per asked (seat, slot) and
+    one (revealed, history, payoffs) view per outcome, revealed read-only."""
+    observers = [a.observe_result for a in agents if type(a).observe_result is not Agent.observe_result]
     rng = _SlotRng()
-    steps = [(bit, PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n], seat - 1, 2 * seat - 2 + DECISION_SLOT[n],
-              NODES[n], *DECISION_ACTIONS[n]) for n, (bit, seat) in enumerate(zip(fixed, DECISION_SEAT))]
-    observations = [[None if bit else Observation(seat, deal[seat - 1], h)
-                     for bit, seat, h in zip(fixed, DECISION_SEAT, NODES)] for deal in game.DEALS]
+    asked = [n for n, bit in enumerate(fixed) if not bit]
+    stops = list(range(len(NODES)))  # node c's stop for every hand, or one stop for them all
+    for n in reversed(range(N_DECISIONS)):
+        if fixed[n]:
+            stops[n] = np.where(decisions & fixed[n], stops[AGGRESSIVE_CHILD[n]], stops[PASSIVE_CHILD[n]])
+    stops = {c: np.broadcast_to(stops[c], deals.shape).tolist()
+             for c in [0, *(c for n in asked for c in (PASSIVE_CHILD[n], AGGRESSIVE_CHILD[n]))]}
+    columns = {(seat, slot): uniforms[:, seat - 1, slot].tolist()
+               for seat, slot in {(DECISION_SEAT[n], DECISION_SLOT[n]) for n in asked}}
+    asks = [None if fixed[n] else (
+        agents[seat - 1].act, columns[seat, DECISION_SLOT[n]], *DECISION_ACTIONS[n], stops[PASSIVE_CHILD[n]],
+        stops[AGGRESSIVE_CHILD[n]], [Observation(seat, d[seat - 1], NODES[n]) for d in game.DEALS])
+        for n, seat in enumerate(DECISION_SEAT)]
     views = [None] * len(game.OUTCOMES)  # each outcome's, built when a hand first ends there
     terminals = []
-    hands = zip(deals.tolist(), decisions.tolist(), uniforms.reshape(len(deals), 6))
-    for index, (d, bits, row) in enumerate(hands):
-        n = 0
+    for index, (d, n) in enumerate(zip(deals.tolist(), stops[0])):
         while n < N_DECISIONS:
-            bit, passive_child, aggressive_child, i, slot, h, passive, aggressive = steps[n]
-            if bit:
-                n = aggressive_child if bits & bit else passive_child
-                continue
-            rng.value = row[slot]
-            action = agents[i].act(observations[d][n], rng)
+            act, column, passive, aggressive, passive_stops, aggressive_stops, observations = asks[n]
+            rng.value = column[index]
+            action = act(observations[d], rng)
             if action == passive:
-                n = passive_child
+                n = passive_stops[index]
             elif action == aggressive:
-                n = aggressive_child
+                n = aggressive_stops[index]
             else:
                 raise RuntimeError(
-                    f"agent {agents[i].name!r} returned illegal action {action!r} "
-                    f"at history {h!r} in hand {index}")
+                    f"agent {agents[DECISION_SEAT[n] - 1].name!r} returned illegal action {action!r} "
+                    f"at history {NODES[n]!r} in hand {index}")
         terminals.append(n)
         if observers:
             view = views[o := d * game.N_TERMINALS + n - N_DECISIONS]
@@ -227,8 +232,8 @@ def _play_each(agents: Sequence[Agent], deals: np.ndarray, uniforms: np.ndarray,
                 deal, h = game.OUTCOMES[o]
                 revealed = MappingProxyType({s: deal[s - 1] for s in game.SHOWDOWN_SEATS[n - N_DECISIONS]})
                 view = views[o] = revealed, h, game.PAYOFF_TABLE[deal][h]
-            for agent in observers:
-                agent.observe_result(*view)
+            for observe in observers:
+                observe(*view)
     return np.array(terminals, dtype=np.intp)
 
 
@@ -438,10 +443,10 @@ def report_json(report: TournamentReport) -> str:
 
 LOG_COLUMNS = ("hand", "card1", "card2", "card3", "actions", "chips1", "chips2", "chips3")
 
-#: Each outcome's log row after the hand index, ",cards,actions,chips\n"; other keys miss.
-_ROW_ENDS = dict(enumerate(f",{','.join(deal)},{history},{a},{b},{c}\n" for (deal, history), (a, b, c)
-                           in zip(game.OUTCOMES, game.OUTCOME_PAYOFFS.tolist())))
-_TAIL_OUTCOME = {end[1:-1]: o for o, end in _ROW_ENDS.items()}
+#: Each outcome's log row after the hand index, ",cards,actions,chips\n", at its index.
+_ROW_ENDS = [f",{','.join(deal)},{history},{a},{b},{c}\n" for (deal, history), (a, b, c)
+             in zip(game.OUTCOMES, game.OUTCOME_PAYOFFS.tolist())]
+_TAIL_OUTCOME = {end[1:-1]: o for o, end in enumerate(_ROW_ENDS)}
 _LABELS: list[str] = []  # hand k's label, str(k), for the longest log yet of <= MAX_HANDS_PER_MATCH hands
 
 
@@ -463,23 +468,27 @@ def match_log(record: MatchRecord, header: Iterable[str] = ()) -> str:
     naming what replay_match_log could not read (a header entry with a
     line break, an agent name that is empty or holds ',' or a line break)
     and the first hand whose outcome is not an index of game.OUTCOMES."""
-    lines = []
+    head = []
     for line in header:
         if line.splitlines() not in ([], [line]):
             raise ValueError(f"header entry {line!r} contains a line break")
-        lines.append(f"# {line}\n")
+        head.append(f"# {line}\n")
     if any("," in name or name.splitlines() != [name] for name in record.agent_names):
         raise ValueError(f"agent names {record.agent_names!r}: one is empty or has ',' or a line break")
-    lines.append(f"# seats: {','.join(record.agent_names)}\n{','.join(LOG_COLUMNS)}\n")
-    start, n = len(lines), len(record.hands)
-    lines += [""] * (2 * n)  # hand k's label, then its row end
+    head.append(f"# seats: {','.join(record.agent_names)}\n{','.join(LOG_COLUMNS)}\n")
+    start, n = len(head), len(record.hands)
+    lines = [""] * (start + 2 * n)  # the header lines, then hand k's label and its row end
+    lines[:start] = head
     lines[start::2] = _labels(n)[:n]
-    try:
-        lines[start + 1::2] = map(_ROW_ENDS.__getitem__, record.hands)
-    except KeyError:
-        k, o = next((k, o) for k, o in enumerate(record.hands) if o not in _ROW_ENDS)
-        raise ValueError(f"hand {k}: outcome {o!r} is not a game.OUTCOMES index") from None
-    return "".join(lines)
+    try:  # a list index rejects a float, and min a negative index it would wrap
+        if min(record.hands, default=0) >= 0:
+            lines[start + 1::2] = map(_ROW_ENDS.__getitem__, record.hands)
+            return "".join(lines)
+    except (IndexError, TypeError):
+        pass
+    k, o = next((k, o) for k, o in enumerate(record.hands)
+                if not isinstance(o, (int, np.integer)) or not 0 <= o < len(game.OUTCOMES))
+    raise ValueError(f"hand {k}: outcome {o!r} is not a game.OUTCOMES index")
 
 
 class ReplayError(ValueError):

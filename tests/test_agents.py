@@ -236,6 +236,32 @@ def test_modeler_act_matches_string_expectimax(smoothing, observed):
         assert modeler.act(obs, FixedRng(0.5)) == expected, obs
 
 
+def expectimax_action(modeler, obs):
+    """The action string_expectimax picks at obs, ties passive."""
+    deals = [d for d in game.DEALS if d[obs.seat - 1] == obs.private_card]
+    passive, aggressive = game.action_pair(obs.history)
+    v_passive, v_aggressive = (string_expectimax(modeler, deals, obs.seat, obs.history + a)
+                               for a in (passive, aggressive))
+    return aggressive if v_aggressive > v_passive else passive
+
+
+# Seat 1 holding Q asked at the root, shown a result, then asked at KKB: KKB's backup
+# must recompute KKBC, which the root's ask left in the reused value list under older counts.
+@example(smoothing=1.0, steps=[Observation(1, "Q", ""), "KKBCF", Observation(1, "Q", "KKB")])
+@given(smoothing=st.floats(0.1, 10, allow_nan=False, allow_infinity=False),
+       steps=st.lists(st.one_of(st.sampled_from(game.TERMINAL_HISTORIES),
+                                st.sampled_from(list(all_observations()))), max_size=60))
+def test_modeler_act_matches_string_expectimax_between_results(smoothing, steps):
+    # Results and asks interleaved: the same card at different nodes, and repeats,
+    # so each ask reuses a value list that earlier asks filled under other counts.
+    modeler = agents.FrequencyModeler(smoothing=smoothing)
+    for step in steps:
+        if isinstance(step, Observation):
+            assert modeler.act(step, FixedRng(0.5)) == expectimax_action(modeler, step), step
+        else:
+            modeler.observe_result({}, step, game.terminal_payoffs("JQK", step))
+
+
 def test_modeler_rejects_bad_smoothing():
     with pytest.raises(ValueError):
         agents.FrequencyModeler(smoothing=0.0)

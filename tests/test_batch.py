@@ -186,6 +186,38 @@ def test_modeler_lineup_never_asks_plain_profile_agents(monkeypatch):
     assert len(record.hands) == 200
 
 
+class RecordingModeler(FrequencyModeler):
+    """Plays exactly like FrequencyModeler and records each history it is asked at."""
+
+    def __init__(self, smoothing=1.0):
+        super().__init__(smoothing)
+        self.histories = []
+
+    def act(self, obs, rng):
+        self.histories.append(obs.history)
+        return super().act(obs, rng)
+
+
+@pytest.mark.parametrize("seats", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+def test_modeler_is_asked_at_exactly_its_decisions(seats):
+    # Fixed seats act between a modeler's nodes, and modelers sit together: each hand
+    # must stop at every decision of a modeler, once, and at no other node.
+    pool = [strategy.constant_profile(Fraction(1, 2)), strategy.nash_profile("UB")]
+    cards = harness.deal_sequence(6, (0,), 400)
+
+    def play(cls):
+        agents = [cls(0.5) if seat in seats else None for seat in range(3)]
+        fixed = [seat for seat in range(3) if seat not in seats]
+        for i, seat in enumerate(fixed):
+            agents[seat] = ProfileAgent(pool[i], f"P{i}")
+        return agents, harness.run_match(agents, cards, 6)
+
+    agents, record = play(RecordingModeler)
+    for seat in seats:
+        assert agents[seat].histories == decisions_by_seat(record, seat + 1)
+    assert record == play(FrequencyModeler)[1]
+
+
 def test_subclass_overriding_act_is_asked_at_every_decision():
     pool = [strategy.nash_profile("UB"), strategy.constant_profile(Fraction(1, 2))]
     cards = harness.deal_sequence(2, (0,), 300)

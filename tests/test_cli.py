@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -203,6 +204,27 @@ def test_tournament_reruns_byte_identical(tmp_path, capsys):
     run(capsys, ["tournament", "--config", config, "--out", str(second)])
     for name in ["report.csv", "report.json", "match_g0-1-2_s0_p3.log"]:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_modeler_tournament_is_pinned(tmp_path, capsys):
+    # Two modelers, one named and one smoothed, beside NashLB and UniformRandom: every
+    # grouping plays modelers, one or two per match.  sha256 digests of the reports and
+    # of the logs concatenated in name order, recorded from the per-node modeler loop.
+    config = write_config(tmp_path, agents=[
+        {"kind": "FrequencyModeler", "name": "modeler"},
+        {"kind": "FrequencyModeler", "parameters": {"smoothing": 0.5}},
+        {"kind": "NashLB"}, {"kind": "UniformRandom"}],
+        hands_per_match=200, matches_per_permutation=2, master_seed=30)
+    out = tmp_path / "tourn"
+    assert run(capsys, ["tournament", "--config", config, "--out", str(out)])[0] == 0
+    logs = sorted(out.glob("match_*.log"))
+    assert len(logs) == 4 * 2 * 6
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        (out / "report.csv").read_bytes(), (out / "report.json").read_bytes(),
+        b"".join(log.read_bytes() for log in logs))]
+    assert digests == ["32b31735042d87d0461b0225000aa2390535e8cfcccb573bdccc43eca2e4a887",
+                       "9de65a10d2b786db2377325c7c8ddb6f5044d81210a859c284a5d27b4cd533f4",
+                       "1c340eebc1d739fb050eaefdf67d620378bdb5e4692425d6d22686f1a9529e51"]
 
 
 def test_tournament_logs_name_seats_by_label(tmp_path, capsys):

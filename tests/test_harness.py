@@ -3,6 +3,7 @@ isolation, logs, replay, and the variance study."""
 
 from __future__ import annotations
 
+import re
 import statistics
 
 import numpy as np
@@ -376,6 +377,23 @@ def test_match_log_rejects_an_outcome_outside_the_table(outcome):
     record = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [7] * 2999 + [outcome])
     with pytest.raises(ValueError, match=f"^hand 2999: outcome {outcome} is not a game.OUTCOMES index$"):
         harness.match_log(record, header=["grouping 0-1-2", "set 0", "seating 0", ""])
+
+
+@pytest.mark.parametrize("outcome", [5.0, np.float64(5.0), -313, "5", None])
+def test_match_log_rejects_an_outcome_that_is_no_index(outcome):
+    # 5.0 equals outcome 5, and a dict keyed by the outcomes would write 5's row for it.
+    record = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [0, outcome])
+    with pytest.raises(ValueError, match=f"^hand 1: outcome {re.escape(repr(outcome))} "
+                                         f"is not a game.OUTCOMES index$"):
+        harness.match_log(record)
+
+
+def test_match_log_writes_numpy_integer_outcomes():
+    hands = [0, 5, 255, len(game.OUTCOMES) - 1]
+    expected = harness.match_log(harness.MatchRecord(("a", "b", "c"), (0, 0, 0), hands))
+    for dtype in (np.int64, np.int32, np.int16, np.uint16, np.uint64):
+        record = harness.MatchRecord(("a", "b", "c"), (0, 0, 0), [dtype(o) for o in hands])
+        assert harness.match_log(record) == expected, dtype
 
 
 @pytest.mark.parametrize("names", [("a,b", "c", "d"), ("a", "b\nc", "d"), ("a", "b", "c\r"),
